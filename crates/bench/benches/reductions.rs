@@ -23,7 +23,7 @@ fn bench_reduce(c: &mut Criterion) {
     ];
     let mut g = c.benchmark_group("reduce_fixpoint");
     for (name, graph) in &cases {
-        let greedy = parvc_core::greedy::greedy_mvc(graph).0;
+        let greedy = parvc_core::greedy::greedy_weighted_mvc(graph).0;
         g.bench_with_input(BenchmarkId::from_parameter(name), graph, |b, graph| {
             let kernel = Kernel {
                 block_size: 128,
@@ -36,7 +36,7 @@ fn bench_reduce(c: &mut Criterion) {
                 let mut counters = BlockCounters::new(0);
                 std::hint::black_box(kernel.reduce(
                     &mut node,
-                    SearchBound::Mvc { best: greedy },
+                    SearchBound::WeightedMvc { best: greedy },
                     &mut scratch,
                     &mut counters,
                 ));
@@ -55,7 +55,7 @@ fn bench_greedy(c: &mut Criterion) {
         ("ws_1000", gen::watts_strogatz(1000, 4, 0.2, 5)),
     ] {
         g.bench_with_input(BenchmarkId::from_parameter(name), &graph, |b, graph| {
-            b.iter(|| std::hint::black_box(parvc_core::greedy::greedy_mvc(graph)));
+            b.iter(|| std::hint::black_box(parvc_core::greedy::greedy_weighted_mvc(graph)));
         });
     }
     g.finish();

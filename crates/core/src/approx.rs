@@ -3,7 +3,7 @@
 //!
 //! Two algorithms, both linear-ish and both carrying a *certificate*:
 //!
-//! * **Round-compressed maximal matching** (cardinality mode, after
+//! * **Round-compressed maximal matching** (graphs without weights, after
 //!   the round-based matchings of arXiv 1709.04599): synchronous
 //!   handshake rounds — every unmatched vertex picks its minimum-id
 //!   unmatched neighbor, mutual picks match — whose per-round scans
@@ -64,9 +64,9 @@ const NIL: u32 = u32::MAX;
 /// Which initial-bound algorithm seeds a solve.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SeedStrategy {
-    /// The reduction-driven greedy seeds (`greedy_mvc` /
-    /// `greedy_weighted_mvc`): usually tighter, but `O(best·|V|)` and
-    /// certificate-free.
+    /// The reduction-driven greedy seed
+    /// ([`greedy_weighted_mvc`](crate::greedy::greedy_weighted_mvc)):
+    /// usually tighter, but `O(best·|V|)` and certificate-free.
     #[default]
     Greedy,
     /// The approximate tier: linear-time covers within 2× of the
@@ -344,6 +344,24 @@ mod tests {
             assert!(a.lower_bound <= opt, "seed {seed}: dual exceeds optimum");
             assert!(a.cost <= 2 * opt, "seed {seed}: 2x band broken");
         }
+    }
+
+    #[test]
+    fn primal_dual_takes_the_cheap_endpoint_of_a_heavy_edge() {
+        // A single edge with a huge-weight endpoint: a cardinality
+        // 2-approximation may take both endpoints (weight 1_000_001 vs
+        // optimum 1 — its guarantee says nothing about weight); the
+        // primal-dual cover stays in band.
+        let g = parvc_graph::CsrGraph::from_edges(2, &[(0, 1)])
+            .unwrap()
+            .with_weights(vec![1_000_000, 1])
+            .unwrap();
+        let (opt, _) = crate::brute::weighted_brute_force(&g);
+        assert_eq!(opt, 1);
+        let mut c = BlockCounters::new(0);
+        let a = weighted_approx_cover(&g, &mut c);
+        assert_eq!(a.cover, vec![1], "the cheap endpoint is tight first");
+        assert!(a.cost <= 2 * opt);
     }
 
     #[test]

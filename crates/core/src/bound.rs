@@ -3,30 +3,27 @@
 
 use crate::node::TreeNode;
 
-/// The bound driving pruning and the high-degree rule. MVC, weighted
-/// MVC, and PVC differ only here (§II-B): MVC prunes against the best
-/// cover found so far, weighted MVC against the best cover *weight*,
-/// PVC against the fixed parameter `k`.
+/// The bound driving pruning and the high-degree rule. MVC and PVC
+/// differ only here (§II-B): MVC prunes against the best cover found
+/// so far, PVC against the fixed parameter `k`.
+///
+/// Both run in the units of the searched graph's weight channel: the
+/// cost of a node is `w(S)` ([`TreeNode::cover_weight`]), which is
+/// `|S|` on a graph without weights (every weight is 1). Because every
+/// weight is ≥ 1, a budget of `t` still admits at most `t` more
+/// vertices, keeping the `t²` edge test and degree-threshold arguments
+/// sound. Cardinality solves simply search a graph without weights
+/// ([`Solver`](crate::Solver) drops the channel on entry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchBound {
-    /// Minimum vertex cover: beat `best` (a snapshot of the global
-    /// atomic best at node-visit time, exactly like a kernel reading it
-    /// from global memory).
-    Mvc {
-        /// Size of the best cover known when the node was visited.
-        best: u32,
-    },
-    /// Minimum *weight* vertex cover: beat `best` weight units. The
-    /// loop structure is identical to MVC; only the budget currency
-    /// changes — `w(S)` ([`TreeNode::cover_weight`]) replaces `|S|` in
-    /// every comparison, and because every weight is ≥ 1, a weight
-    /// budget of `t` still admits at most `t` more vertices, keeping
-    /// the `t²` edge test and degree-threshold arguments sound.
+    /// Minimum (weight) vertex cover: beat `best` (a snapshot of the
+    /// global atomic best at node-visit time, exactly like a kernel
+    /// reading it from global memory).
     WeightedMvc {
-        /// Weight of the best cover known when the node was visited.
+        /// Cost of the best cover known when the node was visited.
         best: u64,
     },
-    /// Parameterized vertex cover: find any cover of size ≤ `k`.
+    /// Parameterized vertex cover: find any cover of cost ≤ `k`.
     Pvc {
         /// The parameter `k`.
         k: u32,
@@ -34,44 +31,26 @@ pub enum SearchBound {
 }
 
 impl SearchBound {
-    /// Whether this bound runs in weight units — the switch the
-    /// reduction rules consult before applying weight-unsound
-    /// inclusion shortcuts (see [`crate::reduce`]).
-    pub fn is_weighted(&self) -> bool {
-        matches!(self, SearchBound::WeightedMvc { .. })
-    }
-
-    /// The cost this bound charges `node` with: `w(S)` in weighted
-    /// mode, `|S|` otherwise.
-    pub fn node_cost(&self, node: &TreeNode) -> u64 {
-        if self.is_weighted() {
-            node.cover_weight()
-        } else {
-            node.cover_size() as u64
-        }
-    }
-
-    /// The high-degree rule threshold: a live vertex with degree
-    /// strictly greater than this must join the cover. `spent` is the
-    /// node's cost in this bound's units
-    /// ([`node_cost`](Self::node_cost)). `None` when the budget is
-    /// already spent
-    /// (the node will be pruned by [`prune`](Self::prune); applying
-    /// the rule with a negative threshold would meaninglessly consume
-    /// the whole graph).
+    /// The remaining cover budget of a node whose cover costs `spent`:
+    /// how much more cost a solution through it may still add (MVC
+    /// must *beat* `best`, PVC must stay ≤ `k`). `None` when the budget
+    /// is already spent (the node will be pruned by
+    /// [`prune`](Self::prune)).
     ///
-    /// Weighted soundness: excluding a vertex of degree `d` forces its
-    /// `d` live neighbors in, costing ≥ `d` weight units (each weight
-    /// is ≥ 1) — so `d >` the remaining *weight* budget still forces
-    /// the vertex into the cover.
-    pub fn high_degree_threshold(&self, spent: u64) -> Option<i64> {
+    /// This is also the high-degree rule threshold: a live vertex with
+    /// degree strictly greater than the budget must join the cover —
+    /// excluding it forces its `d` live neighbors in, costing ≥ `d`
+    /// (each weight is ≥ 1). Applying the rule with a negative
+    /// threshold would meaninglessly consume the whole graph, hence
+    /// `None`.
+    pub fn budget(&self, spent: u64) -> Option<i64> {
         let t: i128 = match *self {
-            SearchBound::Mvc { best } => best as i128 - spent as i128 - 1,
             SearchBound::WeightedMvc { best } => best as i128 - spent as i128 - 1,
             SearchBound::Pvc { k } => k as i128 - spent as i128,
         };
-        // Degrees never exceed |V| < 2^32; clamping huge weight budgets
-        // to i64 loses nothing the rule could ever compare against.
+        // Degrees never exceed |V| < 2^32, and `CsrGraph::with_weights`
+        // caps the total weight at i64::MAX, so real costs always fit;
+        // the clamp only tames the inert `u64::MAX` seed bound.
         (t >= 0).then_some(t.min(i64::MAX as i128) as i64)
     }
 
@@ -79,34 +58,14 @@ impl SearchBound {
     /// better/feasible solution can exist at this node or below.
     ///
     /// Sub-condition 1: the cover budget is spent. Sub-condition 2: the
-    /// high-degree rule capped every live degree at the threshold `t`,
-    /// and at most `t` more vertices may be added (in weighted mode a
-    /// weight budget of `t` admits at most `t` vertices, each of weight
-    /// ≥ 1), so at most `t²` edges can still be covered — more live
-    /// edges than that is hopeless.
+    /// high-degree rule capped every live degree at the budget `t`,
+    /// and a budget of `t` admits at most `t` more vertices (each
+    /// weighing ≥ 1), so at most `t²` edges can still be covered —
+    /// more live edges than that is hopeless.
     pub fn prune(&self, node: &TreeNode) -> bool {
-        match *self {
-            SearchBound::Mvc { best } => {
-                if node.cover_size() >= best {
-                    return true;
-                }
-                let budget = (best - node.cover_size() - 1) as u64;
-                node.num_edges() > budget * budget
-            }
-            SearchBound::WeightedMvc { best } => {
-                if node.cover_weight() >= best {
-                    return true;
-                }
-                let budget = best - node.cover_weight() - 1;
-                node.num_edges() > budget.saturating_mul(budget)
-            }
-            SearchBound::Pvc { k } => {
-                if node.cover_size() > k {
-                    return true;
-                }
-                let budget = (k - node.cover_size()) as u64;
-                node.num_edges() > budget * budget
-            }
+        match self.budget(node.cover_weight()) {
+            None => true,
+            Some(t) => node.num_edges() > (t as u64).saturating_mul(t as u64),
         }
     }
 }
@@ -128,9 +87,9 @@ mod tests {
     fn mvc_prunes_when_budget_spent() {
         let g = gen::complete(5);
         let n = node_with(&g, &[0, 1]); // |S| = 2
-        assert!(SearchBound::Mvc { best: 2 }.prune(&n));
-        assert!(SearchBound::Mvc { best: 1 }.prune(&n));
-        assert!(!SearchBound::Mvc { best: 5 }.prune(&n));
+        assert!(SearchBound::WeightedMvc { best: 2 }.prune(&n));
+        assert!(SearchBound::WeightedMvc { best: 1 }.prune(&n));
+        assert!(!SearchBound::WeightedMvc { best: 5 }.prune(&n));
     }
 
     #[test]
@@ -139,8 +98,8 @@ mod tests {
         // budget is (4-0-1)² = 9 < 10 → prune even though |S| < best.
         let g = gen::complete(5);
         let n = TreeNode::root(&g);
-        assert!(SearchBound::Mvc { best: 4 }.prune(&n));
-        assert!(!SearchBound::Mvc { best: 5 }.prune(&n));
+        assert!(SearchBound::WeightedMvc { best: 4 }.prune(&n));
+        assert!(!SearchBound::WeightedMvc { best: 5 }.prune(&n));
     }
 
     #[test]
@@ -163,35 +122,22 @@ mod tests {
     }
 
     #[test]
-    fn thresholds() {
-        assert_eq!(
-            SearchBound::Mvc { best: 10 }.high_degree_threshold(3),
-            Some(6)
-        );
-        assert_eq!(SearchBound::Pvc { k: 10 }.high_degree_threshold(3), Some(7));
-        assert_eq!(SearchBound::Mvc { best: 3 }.high_degree_threshold(3), None);
-        assert_eq!(
-            SearchBound::Mvc { best: 4 }.high_degree_threshold(3),
-            Some(0)
-        );
-        assert_eq!(SearchBound::Pvc { k: 2 }.high_degree_threshold(5), None);
-        assert_eq!(
-            SearchBound::WeightedMvc { best: 10 }.high_degree_threshold(3),
-            Some(6)
-        );
-        assert_eq!(
-            SearchBound::WeightedMvc { best: 3 }.high_degree_threshold(3),
-            None
-        );
+    fn budgets() {
+        assert_eq!(SearchBound::WeightedMvc { best: 10 }.budget(3), Some(6));
+        assert_eq!(SearchBound::Pvc { k: 10 }.budget(3), Some(7));
+        assert_eq!(SearchBound::WeightedMvc { best: 3 }.budget(3), None);
+        assert_eq!(SearchBound::WeightedMvc { best: 4 }.budget(3), Some(0));
+        assert_eq!(SearchBound::Pvc { k: 2 }.budget(5), None);
+        assert_eq!(SearchBound::Pvc { k: 4 }.budget(4), Some(0));
         // The inert greedy-phase bound must not overflow.
         assert_eq!(
-            SearchBound::WeightedMvc { best: u64::MAX }.high_degree_threshold(0),
+            SearchBound::WeightedMvc { best: u64::MAX }.budget(0),
             Some(i64::MAX)
         );
     }
 
     #[test]
-    fn weighted_prune_runs_in_weight_units() {
+    fn prune_runs_in_weight_units() {
         let g = gen::complete(5).with_weights(vec![4, 4, 4, 4, 4]).unwrap();
         let n = node_with(&g, &[0]); // w(S) = 4, 6 edges remain
         assert!(SearchBound::WeightedMvc { best: 4 }.prune(&n));
@@ -205,9 +151,8 @@ mod tests {
             !SearchBound::WeightedMvc { best: u64::MAX }.prune(&n),
             "the inert bound must not overflow the edge test"
         );
-        assert!(SearchBound::WeightedMvc { best: 9 }.is_weighted());
-        assert!(!SearchBound::Mvc { best: 9 }.is_weighted());
-        assert_eq!(SearchBound::WeightedMvc { best: 9 }.node_cost(&n), 4);
-        assert_eq!(SearchBound::Mvc { best: 9 }.node_cost(&n), 1);
+        // PVC's k is in the same units: w(S) = 4 already exceeds k = 3.
+        assert!(SearchBound::Pvc { k: 3 }.prune(&n));
+        assert!(!SearchBound::Pvc { k: 7 }.prune(&n));
     }
 }

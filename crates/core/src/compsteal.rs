@@ -131,38 +131,32 @@ impl CompStealPolicy<'_> {
     ) -> Option<TreeNode> {
         let inst = &job.comps[index];
         let search = bound.bound();
-        // The freshest budget (in the search's units — weight for
-        // weighted traversals): the launch bound as of now, minus the
-        // parent's cover cost, minus what the sibling components are
-        // known to need (their exact optimum once solved, else their
-        // matching lower bound). A sibling that already proved it
-        // cannot fit dooms the whole job — no budget, skip the solve.
+        // The freshest budget (in the objective's units): the launch
+        // bound as of now, minus the parent's cover cost, minus what
+        // the sibling components are known to need (their exact
+        // optimum once solved, else their lower bound). A sibling that
+        // already proved it cannot fit dooms the whole job — no
+        // budget, skip the solve.
         let limit = {
             let results = job.results.lock();
             let doomed = results.iter().any(|r| matches!(r, Some(None)));
             if doomed {
                 None
             } else {
-                split::remaining_budget(search, search.node_cost(&job.parent)).map(
-                    |mut remaining| {
+                search
+                    .budget(job.parent.cover_weight())
+                    .map(|mut remaining| {
                         for (j, r) in results.iter().enumerate() {
                             if j == index {
                                 continue;
                             }
                             remaining -= match r {
-                                Some(Some(cover)) => {
-                                    if search.is_weighted() {
-                                        job.comps[j].graph.cover_weight(cover) as i64
-                                    } else {
-                                        cover.len() as i64
-                                    }
-                                }
+                                Some(Some(cover)) => job.comps[j].graph.cover_weight(cover) as i64,
                                 _ => job.comps[j].lower_bound as i64,
                             };
                         }
                         remaining
-                    },
-                )
+                    })
             }
         };
         let outcome = match limit {
@@ -175,7 +169,6 @@ impl CompStealPolicy<'_> {
                     &sub_kernel,
                     inst.greedy.clone(),
                     limit as u64,
-                    search.is_weighted(),
                     &mut || bound.should_abort(),
                     &mut self.scratch,
                     &mut self.conns,

@@ -38,37 +38,32 @@ use crate::extensions::Extensions;
 use crate::ops::Kernel;
 use crate::scratch::BlockScratch;
 use crate::shared::{
-    BoundKind, BoundSrc, Deadline, GlobalBest, PvcFound, RawParallel, RawParallelPvc, RawWeighted,
-    WeightedBest,
+    BoundKind, BoundSrc, Deadline, PvcFound, RawParallelPvc, RawWeighted, WeightedBest,
 };
 use crate::split::{self, PendingSplit, SplitVerdict};
 use crate::TreeNode;
 
-/// Which problem a traversal solves, and what ends it: MVC (weighted
-/// or not) improves a global best until the tree is exhausted; PVC
-/// stops at the first cover of size ≤ `k` (§II-B).
+/// Which problem a traversal solves, and what ends it: MVC improves a
+/// global best until the tree is exhausted; PVC stops at the first
+/// cover of cost ≤ `k` (§II-B).
+///
+/// The objective is the weight channel of the graph being searched
+/// ([`CsrGraph::weight`]): a cover costs its total weight, and a graph
+/// without weights (every weight 1) is the cardinality objective.
+/// There is no separate cardinality mode —
+/// [`Solver`](crate::Solver) drops the weight channel on entry whenever
+/// the caller asked for cardinality.
 #[derive(Debug, Clone)]
 pub enum SearchMode {
-    /// Minimum vertex cover, seeded with an initial `(size, cover)`
-    /// upper bound (normally the greedy approximation, Figure 1
-    /// line 1).
-    Mvc {
-        /// The seed `(size, witness)` for the global best.
-        initial: (u32, Vec<VertexId>),
-    },
-    /// Minimum **weight** vertex cover over the graph's weight channel
-    /// ([`CsrGraph::weight`]), seeded with an initial
+    /// Minimum (weight) vertex cover, seeded with an initial
     /// `(weight, cover)` upper bound (normally
-    /// [`greedy_weighted_mvc`](crate::greedy::greedy_weighted_mvc)).
-    /// The traversal loop is byte-for-byte the MVC loop; only the
-    /// bound arithmetic and the reduction rules' inclusion gates run
-    /// in weight units (see [`crate::bound::SearchBound::WeightedMvc`]).
-    /// On a graph without weights this degenerates to MVC exactly.
+    /// [`greedy_weighted_mvc`](crate::greedy::greedy_weighted_mvc), the
+    /// greedy approximation of Figure 1 line 1).
     WeightedMvc {
         /// The seed `(weight, witness)` for the global best.
         initial: (u64, Vec<VertexId>),
     },
-    /// Parameterized vertex cover: find any cover of size ≤ `k`.
+    /// Parameterized vertex cover: find any cover of cost ≤ `k`.
     Pvc {
         /// The parameter `k`.
         k: u32,
@@ -78,12 +73,10 @@ pub enum SearchMode {
 impl SearchMode {
     /// The §IV-E per-block stack depth bound: the search can add at
     /// most `budget + 1` branch levels below the root (and never more
-    /// than `|V|` — in weighted mode a weight budget of `t` admits at
-    /// most `t` vertices, each weighing ≥ 1), so pre-allocating this
-    /// much can never overflow.
+    /// than `|V|` — a budget of `t` admits at most `t` vertices, each
+    /// weighing ≥ 1), so pre-allocating this much can never overflow.
     pub fn depth_bound(&self, g: &CsrGraph) -> usize {
         let budget: u64 = match *self {
-            SearchMode::Mvc { initial: (size, _) } => size as u64,
             SearchMode::WeightedMvc {
                 initial: (weight, _),
             } => weight,
@@ -91,18 +84,11 @@ impl SearchMode {
         };
         budget.min(g.num_vertices() as u64) as usize + 2
     }
-
-    /// Whether this mode's bound runs in weight units.
-    pub fn is_weighted(&self) -> bool {
-        matches!(self, SearchMode::WeightedMvc { .. })
-    }
 }
 
 /// What [`Engine::solve`] returns: the raw launch result of the mode
 /// it ran.
 pub enum SearchOutcome {
-    /// Result of a [`SearchMode::Mvc`] run.
-    Mvc(RawParallel),
     /// Result of a [`SearchMode::WeightedMvc`] run.
     Weighted(RawWeighted),
     /// Result of a [`SearchMode::Pvc`] run.
@@ -287,14 +273,9 @@ pub fn drive_block(
         // the block solves them inline and the combined cover flows
         // through the ordinary solution machinery.
         if let Some(params) = kernel.ext.component_branching {
-            if let Some(comps) = split::detect_components(
-                kernel,
-                &node,
-                params,
-                &mut conn,
-                counters,
-                bound.bound().is_weighted(),
-            ) {
+            if let Some(comps) =
+                split::detect_components(kernel, &node, params, &mut conn, counters)
+            {
                 let pending = PendingSplit {
                     parent: node,
                     comps,
@@ -396,7 +377,7 @@ impl Engine<'_> {
     ///
     /// ```
     /// use parvc_core::engine::{Engine, SearchMode, SearchOutcome};
-    /// use parvc_core::greedy::greedy_mvc;
+    /// use parvc_core::greedy::greedy_weighted_mvc;
     /// use parvc_core::sequential::SequentialFactory;
     /// use parvc_core::shared::Deadline;
     /// use parvc_core::Extensions;
@@ -416,29 +397,16 @@ impl Engine<'_> {
     ///     exec: &parvc_simgpu::exec::SERIAL,
     ///     obs: parvc_core::engine::EngineObs::OFF,
     /// };
-    /// let mode = SearchMode::Mvc { initial: greedy_mvc(&g) };
-    /// let SearchOutcome::Mvc(raw) = engine.solve(&SequentialFactory::new(), mode) else {
+    /// // No weight channel: the objective is the cover's cardinality.
+    /// let mode = SearchMode::WeightedMvc { initial: greedy_weighted_mvc(&g) };
+    /// let SearchOutcome::Weighted(raw) = engine.solve(&SequentialFactory::new(), mode) else {
     ///     unreachable!("MVC mode returns an MVC outcome");
     /// };
-    /// assert_eq!(raw.best_size, 6); // Petersen's minimum vertex cover
+    /// assert_eq!(raw.best_weight, 6); // Petersen's minimum vertex cover
     /// ```
     pub fn solve(&self, factory: &dyn PolicyFactory, mode: SearchMode) -> SearchOutcome {
         let depth_bound = mode.depth_bound(self.graph);
         match mode {
-            SearchMode::Mvc { initial } => {
-                let best = GlobalBest::new(initial.0, initial.1);
-                let bound = BoundSrc {
-                    kind: BoundKind::Mvc(&best),
-                    deadline: self.deadline,
-                };
-                let blocks = self.run(factory, bound, depth_bound);
-                let (best_size, best_cover) = best.into_result();
-                SearchOutcome::Mvc(RawParallel {
-                    best_size,
-                    best_cover,
-                    blocks,
-                })
-            }
             SearchMode::WeightedMvc { initial } => {
                 let best = WeightedBest::new(initial.0, initial.1);
                 let bound = BoundSrc {
@@ -472,23 +440,11 @@ impl Engine<'_> {
     pub fn solve_mvc(
         &self,
         factory: &dyn PolicyFactory,
-        initial: (u32, Vec<VertexId>),
-    ) -> RawParallel {
-        match self.solve(factory, SearchMode::Mvc { initial }) {
-            SearchOutcome::Mvc(raw) => raw,
-            _ => unreachable!("MVC mode returns an MVC outcome"),
-        }
-    }
-
-    /// [`solve`](Self::solve) for weighted MVC, unwrapped.
-    pub fn solve_weighted_mvc(
-        &self,
-        factory: &dyn PolicyFactory,
         initial: (u64, Vec<VertexId>),
     ) -> RawWeighted {
         match self.solve(factory, SearchMode::WeightedMvc { initial }) {
             SearchOutcome::Weighted(raw) => raw,
-            _ => unreachable!("weighted mode returns a weighted outcome"),
+            _ => unreachable!("MVC mode returns an MVC outcome"),
         }
     }
 
@@ -583,7 +539,7 @@ impl Engine<'_> {
 mod tests {
     use super::*;
     use crate::brute::brute_force_mvc;
-    use crate::greedy::greedy_mvc;
+    use crate::greedy::greedy_weighted_mvc;
     use crate::sequential::SequentialFactory;
     use crate::verify::is_vertex_cover;
     use parvc_graph::gen;
@@ -607,7 +563,7 @@ mod tests {
         }
     }
 
-    fn seq_mvc(g: &CsrGraph, initial: (u32, Vec<u32>)) -> RawParallel {
+    fn seq_mvc(g: &CsrGraph, initial: (u64, Vec<u32>)) -> RawWeighted {
         let device = DeviceSpec::scaled(1);
         let cost = CostModel::default();
         let deadline = Deadline::new(None);
@@ -617,8 +573,8 @@ mod tests {
     #[test]
     fn depth_bound_caps_at_vertex_count() {
         let g = gen::cycle(6);
-        let mode = SearchMode::Mvc {
-            initial: (u32::MAX, (0..6).collect()),
+        let mode = SearchMode::WeightedMvc {
+            initial: (u64::MAX, (0..6).collect()),
         };
         assert_eq!(mode.depth_bound(&g), 8);
         assert_eq!(SearchMode::Pvc { k: 2 }.depth_bound(&g), 4);
@@ -629,8 +585,8 @@ mod tests {
         for seed in 0..8 {
             let g = gen::gnp(13, 0.35, seed);
             let (opt, _) = brute_force_mvc(&g);
-            let raw = seq_mvc(&g, greedy_mvc(&g));
-            assert_eq!(raw.best_size, opt, "seed {seed}");
+            let raw = seq_mvc(&g, greedy_weighted_mvc(&g));
+            assert_eq!(raw.best_weight, u64::from(opt), "seed {seed}");
             assert!(is_vertex_cover(&g, &raw.best_cover));
         }
     }
@@ -655,12 +611,12 @@ mod tests {
         let device = DeviceSpec::scaled(1);
         let cost = CostModel::default();
         let deadline = Deadline::new(Some(std::time::Duration::ZERO));
-        let greedy = greedy_mvc(&g);
+        let greedy = greedy_weighted_mvc(&g);
         let raw = engine(&g, &device, &cost, &deadline)
             .solve_mvc(&SequentialFactory::new(), greedy.clone());
         assert!(deadline.was_hit());
         assert_eq!(
-            raw.best_size, greedy.0,
+            raw.best_weight, greedy.0,
             "no better cover can appear in zero time"
         );
         // At most the root is visited before the abort check fires.

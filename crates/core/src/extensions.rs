@@ -13,10 +13,11 @@
 //!   a cover. The degree-one and degree-two-triangle rules are special
 //!   cases. Off by default (it is `O(Σ min(d(u), d(v)))` per round).
 //! * **Matching lower bound** — a maximal matching of the intermediate
-//!   graph needs one cover vertex per edge, so
-//!   `|S| + |M| ≥` any completion; prune when that already meets the
-//!   bound. Strictly stronger than the paper's edge-count test on
-//!   sparse residuals.
+//!   graph needs one cover vertex per edge, each costing at least its
+//!   edge's cheaper endpoint, so `w(S) + Σ_M min(w(u), w(v)) ≤` any
+//!   completion (`|S| + |M|` on a graph without weights); prune when
+//!   that already meets the bound. Strictly stronger than the paper's
+//!   edge-count test on sparse residuals.
 //!
 //! Neither extension is charged to the Figure 6 activity accounting —
 //! they are deliberately outside the paper's instrumentation so the
@@ -86,54 +87,21 @@ impl<'a> Kernel<'a> {
             return true;
         }
         if self.ext.matching_lower_bound && !node.is_edgeless() {
-            return match bound {
-                SearchBound::Mvc { best } => {
-                    node.cover_size() as u64 + self.residual_matching_bound(node, scratch)
-                        >= best as u64
-                }
-                // Weight units: each matched edge needs a cover vertex
-                // costing at least its cheaper endpoint, and matched
-                // edges are disjoint, so the minima sum.
-                SearchBound::WeightedMvc { best } => {
-                    node.cover_weight()
-                        .saturating_add(self.residual_weighted_matching_bound(node, scratch))
-                        >= best
-                }
-                SearchBound::Pvc { k } => {
-                    node.cover_size() as u64 + self.residual_matching_bound(node, scratch)
-                        > k as u64
-                }
-            };
+            // Every completion costs at least this much: prune when no
+            // budget is left for it.
+            let least = node
+                .cover_weight()
+                .saturating_add(self.residual_weighted_matching_bound(node, scratch));
+            return bound.budget(least).is_none();
         }
         false
     }
 
-    /// Size of a greedy maximal matching of the intermediate graph —
-    /// every completion of `S` needs at least this many more vertices.
-    pub fn residual_matching_bound(&self, node: &TreeNode, scratch: &mut BlockScratch) -> u64 {
-        let matched = scratch.matched_for(node.len() as usize);
-        let mut size = 0u64;
-        for u in 0..node.len() {
-            if matched[u as usize] || node.degree(u) <= 0 {
-                continue;
-            }
-            for &v in self.graph.neighbors(u) {
-                if v > u && !matched[v as usize] && !node.is_removed(v) {
-                    matched[u as usize] = true;
-                    matched[v as usize] = true;
-                    size += 1;
-                    break;
-                }
-            }
-        }
-        size
-    }
-
-    /// Weighted analogue of
-    /// [`residual_matching_bound`](Self::residual_matching_bound):
-    /// every completion of `S` pays
-    /// at least the cheaper endpoint of each greedily matched residual
-    /// edge (see [`parvc_graph::matching::min_weight_matching_bound`]).
+    /// The least weight every completion of `S` still pays: the
+    /// cheaper endpoint of each greedily matched residual edge (matched
+    /// edges are disjoint, so the minima sum — see
+    /// [`parvc_graph::matching::min_weight_matching_bound`]). On a
+    /// graph without weights this is the matching's size.
     pub fn residual_weighted_matching_bound(
         &self,
         node: &TreeNode,
@@ -161,13 +129,12 @@ impl<'a> Kernel<'a> {
     /// and cover every `u` that dominates one of its neighbors.
     /// Returns whether anything changed.
     ///
-    /// With `weighted` set, an application additionally requires
-    /// `w(u) ≤ w(v)` for the dominated neighbor `v` — the swap that
-    /// justifies the rule must not increase the cover weight.
+    /// An application additionally requires `w(u) ≤ w(v)` for the
+    /// dominated neighbor `v` — the swap that justifies the rule must
+    /// not increase the cover weight (always true without weights).
     pub(crate) fn domination_round(
         &self,
         node: &mut TreeNode,
-        weighted: bool,
         scratch: &mut BlockScratch,
         counters: &mut BlockCounters,
     ) -> bool {
@@ -189,7 +156,7 @@ impl<'a> Kernel<'a> {
             let dominates = node
                 .live_neighbors(self.graph, u)
                 .filter(|&v| node.degree(v) <= node.degree(u))
-                .filter(|&v| !weighted || self.graph.weight(u) <= self.graph.weight(v))
+                .filter(|&v| self.graph.weight(u) <= self.graph.weight(v))
                 .any(|v| node.live_neighbors(self.graph, v).all(|w| mark[w as usize]));
             // Unmark before mutating.
             mark[u as usize] = false;
@@ -233,14 +200,14 @@ mod tests {
         let mut scratch = BlockScratch::new();
         let k = kernel(&c6, &cost, Extensions::NONE);
         assert_eq!(
-            k.residual_matching_bound(&TreeNode::root(&c6), &mut scratch),
+            k.residual_weighted_matching_bound(&TreeNode::root(&c6), &mut scratch),
             3
         );
         // Star: one matched edge regardless of leaves.
         let star = gen::star(9);
         let k = kernel(&star, &cost, Extensions::NONE);
         assert_eq!(
-            k.residual_matching_bound(&TreeNode::root(&star), &mut scratch),
+            k.residual_weighted_matching_bound(&TreeNode::root(&star), &mut scratch),
             1
         );
     }
@@ -253,7 +220,7 @@ mod tests {
         let mut node = TreeNode::root(&g);
         node.remove_into_cover(&g, 2); // splits into two disjoint edges
         assert_eq!(
-            k.residual_matching_bound(&node, &mut BlockScratch::new()),
+            k.residual_weighted_matching_bound(&node, &mut BlockScratch::new()),
             2
         );
     }
@@ -267,7 +234,7 @@ mod tests {
         let g = CsrGraph::from_edges(12, &edges).unwrap();
         let cost = CostModel::default();
         let node = TreeNode::root(&g);
-        let bound = SearchBound::Mvc { best: 4 };
+        let bound = SearchBound::WeightedMvc { best: 4 };
         assert!(!bound.prune(&node), "edge-count test must not fire");
         let k = kernel(
             &g,
@@ -292,7 +259,7 @@ mod tests {
         let k = kernel(&g, &cost, Extensions::ALL);
         let mut node = TreeNode::root(&g);
         let mut c = BlockCounters::new(0);
-        assert!(k.domination_round(&mut node, false, &mut BlockScratch::new(), &mut c));
+        assert!(k.domination_round(&mut node, &mut BlockScratch::new(), &mut c));
         assert!(node.is_removed(0));
         node.check_consistency(&g).unwrap();
     }
@@ -309,7 +276,7 @@ mod tests {
             // Domination applied to a fixpoint must keep the optimum:
             // opt = |S| + opt(residual).
             let mut scratch = BlockScratch::new();
-            while k.domination_round(&mut node, false, &mut scratch, &mut c) {}
+            while k.domination_round(&mut node, &mut scratch, &mut c) {}
             node.check_consistency(&g).unwrap();
             let residual: Vec<(u32, u32)> = g
                 .edges()

@@ -14,67 +14,28 @@ use crate::ops::Kernel;
 use crate::scratch::BlockScratch;
 use crate::TreeNode;
 
-/// Greedy approximate minimum vertex cover: apply all reduction rules,
-/// remove the max-degree vertex, repeat until edgeless. Returns the
-/// cover size and the cover itself.
-pub fn greedy_mvc(g: &CsrGraph) -> (u32, Vec<VertexId>) {
-    let deadline = crate::shared::Deadline::new(None);
-    greedy_mvc_bounded(g, &deadline)
-}
-
-/// [`greedy_mvc`] under a wall-clock budget. The greedy loop is
-/// `O(best · |V|)`, which on `Scale::Massive` instances can exceed the
-/// whole solve budget before the engine even launches; when `deadline`
-/// expires mid-loop the residual graph is finished in linear time with
-/// the endpoints of a maximal matching (`finish_with_matching`) — a
-/// valid cover whose residual part stays within 2× of the residual
-/// optimum, instead of the old "sweep every live vertex" fallback —
-/// and the solve reports `timed_out` through the deadline's sticky
-/// flag.
-pub fn greedy_mvc_bounded(
-    g: &CsrGraph,
-    deadline: &crate::shared::Deadline,
-) -> (u32, Vec<VertexId>) {
-    let cost = CostModel::default();
-    let kernel = Kernel::sequential(g, &cost);
-    let mut counters = BlockCounters::new(u32::MAX);
-    let mut scratch = BlockScratch::new();
-    let mut node = TreeNode::root(g);
-    // No `best` exists yet, so the high-degree rule is inert
-    // (`u32::MAX` budget); degree-one and degree-two-triangle do fire.
-    let bound = SearchBound::Mvc { best: u32::MAX };
-    loop {
-        if deadline.expired() {
-            finish_with_matching(g, &mut node);
-            break;
-        }
-        kernel.reduce(&mut node, bound, &mut scratch, &mut counters);
-        if node.is_edgeless() {
-            break;
-        }
-        let vmax = kernel
-            .find_max_degree(&node, &mut counters)
-            .expect("non-edgeless graph has vertices");
-        kernel.remove_vertex(&mut node, vmax, Activity::RemoveMaxVertex, &mut counters);
-    }
-    (node.cover_size(), node.cover_vertices())
-}
-
-/// Greedy approximate minimum **weight** vertex cover: apply the
-/// weight-sound reduction rules, then repeatedly remove the live
+/// Greedy approximate minimum (weight) vertex cover: apply the
+/// weight-gated reduction rules, then repeatedly remove the live
 /// vertex with the best degree-per-weight ratio until edgeless.
 /// Returns the cover weight and the cover itself — the seed for
 /// [`SearchMode::WeightedMvc`](crate::engine::SearchMode).
+///
+/// On a graph without weights every ratio is the degree, so this is
+/// the paper's greedy: reduce, remove the max-degree vertex (smallest
+/// id on ties), repeat — and the returned weight is the cover size.
 pub fn greedy_weighted_mvc(g: &CsrGraph) -> (u64, Vec<VertexId>) {
     let deadline = crate::shared::Deadline::new(None);
     greedy_weighted_mvc_bounded(g, &deadline)
 }
 
-/// [`greedy_weighted_mvc`] under a wall-clock budget, with the same
-/// expiry semantics as [`greedy_mvc_bounded`]: on deadline the
-/// residual graph is covered by maximal-matching endpoints
-/// (`finish_with_matching`) rather than by sweeping every live
-/// vertex into the cover.
+/// [`greedy_weighted_mvc`] under a wall-clock budget. The greedy loop
+/// is `O(best · |V|)`, which on `Scale::Massive` instances can exceed
+/// the whole solve budget before the engine even launches; when
+/// `deadline` expires mid-loop the residual graph is finished in
+/// linear time with the endpoints of a maximal matching
+/// (`finish_with_matching`) — a valid cover whose residual part stays
+/// within 2× of the residual optimum (in cardinality) — and the solve
+/// reports `timed_out` through the deadline's sticky flag.
 pub fn greedy_weighted_mvc_bounded(
     g: &CsrGraph,
     deadline: &crate::shared::Deadline,
@@ -84,8 +45,9 @@ pub fn greedy_weighted_mvc_bounded(
     let mut counters = BlockCounters::new(u32::MAX);
     let mut scratch = BlockScratch::new();
     let mut node = TreeNode::root(g);
-    // The inert weighted bound: reductions run with their weight gates,
-    // the high-degree rule never fires.
+    // No `best` exists yet, so the high-degree rule is inert (`u64::MAX`
+    // budget); the degree-one and degree-two-triangle rules do fire,
+    // under their weight gates.
     let bound = SearchBound::WeightedMvc { best: u64::MAX };
     loop {
         if deadline.expired() {
@@ -132,29 +94,6 @@ fn finish_with_matching(g: &CsrGraph, node: &mut TreeNode) {
     }
 }
 
-/// The classic maximal-matching 2-approximation (Gavril/Yannakakis):
-/// both endpoints of every edge of a maximal matching. Guaranteed
-/// within 2× of the optimum in linear time — the paper's §I cites this
-/// approximation line of work; it also provides an independent sanity
-/// band for the exact solvers (`opt ∈ [|cover|/2, |cover|]`).
-///
-/// **Cardinality only.** The guarantee is on the cover's *size*; on
-/// weighted instances the cover *weight* can be unboundedly worse than
-/// the optimum (a matched edge may drag in an arbitrarily heavy
-/// endpoint the optimum avoids). Weighted callers want
-/// [`parvc_graph::matching::primal_dual_cover`] (wrapped by
-/// [`crate::approx::weighted_approx_cover`]), whose weight is provably
-/// within 2× of the weighted optimum.
-pub fn two_approx_mvc(g: &CsrGraph) -> Vec<VertexId> {
-    let matching = parvc_graph::matching::greedy_maximal_matching(g);
-    let mut cover = Vec::with_capacity(matching.len() * 2);
-    for (u, v) in matching {
-        cover.push(u);
-        cover.push(v);
-    }
-    cover
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,7 +105,7 @@ mod tests {
     fn greedy_returns_a_valid_cover() {
         for seed in 0..8 {
             let g = gen::gnp(40, 0.15, seed);
-            let (size, cover) = greedy_mvc(&g);
+            let (size, cover) = greedy_weighted_mvc(&g);
             assert_eq!(size as usize, cover.len());
             assert!(
                 is_vertex_cover(&g, &cover),
@@ -179,10 +118,10 @@ mod tests {
     fn greedy_is_at_least_optimal() {
         for seed in 0..8 {
             let g = gen::gnp(12, 0.3, seed);
-            let (greedy, _) = greedy_mvc(&g);
+            let (greedy, _) = greedy_weighted_mvc(&g);
             let (opt, _) = brute_force_mvc(&g);
             assert!(
-                greedy >= opt,
+                greedy >= u64::from(opt),
                 "seed {seed}: greedy {greedy} below optimum {opt}"
             );
         }
@@ -191,21 +130,21 @@ mod tests {
     #[test]
     fn greedy_exact_on_easy_shapes() {
         // Reductions alone solve paths, stars, and trees optimally.
-        assert_eq!(greedy_mvc(&gen::path(9)).0, 4);
-        assert_eq!(greedy_mvc(&gen::star(10)).0, 1);
-        assert_eq!(greedy_mvc(&gen::paper_example()).0, 3);
+        assert_eq!(greedy_weighted_mvc(&gen::path(9)).0, 4);
+        assert_eq!(greedy_weighted_mvc(&gen::star(10)).0, 1);
+        assert_eq!(greedy_weighted_mvc(&gen::paper_example()).0, 3);
     }
 
     #[test]
     fn greedy_on_clique() {
         // K_n: every step removes one vertex; cover of n-1 is optimal.
-        assert_eq!(greedy_mvc(&gen::complete(7)).0, 6);
+        assert_eq!(greedy_weighted_mvc(&gen::complete(7)).0, 6);
     }
 
     #[test]
     fn greedy_on_edgeless_is_empty() {
         let g = parvc_graph::CsrGraph::from_edges(6, &[]).unwrap();
-        assert_eq!(greedy_mvc(&g), (0, vec![]));
+        assert_eq!(greedy_weighted_mvc(&g), (0, vec![]));
     }
 
     #[test]
@@ -222,58 +161,31 @@ mod tests {
 
     #[test]
     fn weighted_greedy_avoids_the_expensive_hub() {
-        // Star with a costly hub: the unweighted greedy takes the hub
-        // (weight 100); the weighted greedy must prefer the leaves.
+        // Star with a costly hub: without weights the greedy takes the
+        // hub; with them it must prefer the leaves (weight 5 < 100).
         let g = gen::star(6).with_weights(vec![100, 1, 1, 1, 1, 1]).unwrap();
         let (weight, cover) = greedy_weighted_mvc(&g);
         assert!(is_vertex_cover(&g, &cover));
         assert_eq!(weight, 5, "five weight-1 leaves beat the hub");
         assert_eq!(
-            greedy_mvc(&g).0,
-            1,
-            "cardinality greedy still takes the hub"
+            greedy_weighted_mvc(&g.without_weights()),
+            (1, vec![0]),
+            "the cardinality greedy still takes the hub"
         );
     }
 
     #[test]
-    fn weighted_greedy_matches_unweighted_on_unit_weights() {
+    fn unit_weights_match_a_graph_without_weights() {
         for seed in 0..6 {
             let g = gen::gnp(20, 0.2, seed + 60);
-            let (size, cover) = greedy_mvc(&g);
+            let plain = greedy_weighted_mvc(&g);
             let unit = g.clone().with_weights(vec![1; 20]).unwrap();
-            let (weight, wcover) = greedy_weighted_mvc(&unit);
-            assert_eq!(weight, size as u64, "seed {seed}");
             assert_eq!(
-                wcover, cover,
+                greedy_weighted_mvc(&unit),
+                plain,
                 "seed {seed}: unit weights must not change the pick"
             );
         }
-    }
-
-    #[test]
-    fn two_approx_is_a_cover_within_factor_two() {
-        for seed in 0..10 {
-            let g = gen::gnp(14, 0.3, seed + 40);
-            let cover = two_approx_mvc(&g);
-            assert!(is_vertex_cover(&g, &cover), "seed {seed}");
-            let (opt, _) = brute_force_mvc(&g);
-            assert!(
-                cover.len() as u32 <= 2 * opt,
-                "seed {seed}: {} > 2 x {opt}",
-                cover.len()
-            );
-            // Lower-bound side: |matching| = |cover|/2 <= opt.
-            assert!(cover.len() as u32 / 2 <= opt);
-        }
-    }
-
-    #[test]
-    fn two_approx_tight_on_perfect_matchings() {
-        // Disjoint edges: 2-approx takes both endpoints (2x optimal).
-        let edges: Vec<(u32, u32)> = (0..8).map(|i| (2 * i, 2 * i + 1)).collect();
-        let g = parvc_graph::CsrGraph::from_edges(16, &edges).unwrap();
-        assert_eq!(two_approx_mvc(&g).len(), 16);
-        assert_eq!(brute_force_mvc(&g).0, 8);
     }
 
     #[test]
@@ -284,7 +196,7 @@ mod tests {
         // endpoints of the single matched edge.
         let g = gen::star(6);
         let deadline = crate::shared::Deadline::new(Some(Duration::ZERO));
-        let (size, cover) = greedy_mvc_bounded(&g, &deadline);
+        let (size, cover) = greedy_weighted_mvc_bounded(&g, &deadline);
         assert!(deadline.was_hit());
         assert!(is_vertex_cover(&g, &cover), "timed-out seed must verify");
         assert_eq!(size, 2, "one matched edge, two endpoints");
@@ -302,43 +214,13 @@ mod tests {
         for seed in 0..6 {
             let g = gen::gnp(14, 0.3, seed + 70);
             let deadline = crate::shared::Deadline::new(Some(Duration::ZERO));
-            let (size, cover) = greedy_mvc_bounded(&g, &deadline);
+            let (size, cover) = greedy_weighted_mvc_bounded(&g, &deadline);
             assert!(is_vertex_cover(&g, &cover), "seed {seed}");
             let (opt, _) = brute_force_mvc(&g);
-            assert!(size <= 2 * opt, "seed {seed}: {size} > 2 x {opt}");
+            assert!(
+                size <= 2 * u64::from(opt),
+                "seed {seed}: {size} > 2 x {opt}"
+            );
         }
-    }
-
-    #[test]
-    fn two_approx_weight_is_unbounded_but_primal_dual_is_not() {
-        // Satellite regression: a single edge with a huge-weight
-        // endpoint. `two_approx_mvc` takes both endpoints (weight
-        // 1_000_001 vs optimum 1 — the cardinality guarantee says
-        // nothing about weight); the primal-dual cover stays in band.
-        let g = parvc_graph::CsrGraph::from_edges(2, &[(0, 1)])
-            .unwrap()
-            .with_weights(vec![1_000_000, 1])
-            .unwrap();
-        let card = two_approx_mvc(&g);
-        assert_eq!(g.cover_weight(&card), 1_000_001, "weight-blind by design");
-        let (opt, _) = crate::brute::weighted_brute_force(&g);
-        assert_eq!(opt, 1);
-        let pd = parvc_graph::matching::primal_dual_cover(&g);
-        assert_eq!(pd.cover, vec![1], "the cheap endpoint is tight first");
-        assert!(pd.weight <= 2 * opt);
-    }
-
-    #[test]
-    fn two_approx_on_regular_graphs() {
-        // The hard family: no structure for greedy rules to exploit,
-        // but the matching bound still brackets the optimum.
-        let g = gen::random_regular(40, 3, 8);
-        let approx = two_approx_mvc(&g).len() as u32;
-        let exact = crate::Solver::builder()
-            .algorithm(crate::Algorithm::Sequential)
-            .build()
-            .solve_mvc(&g)
-            .size;
-        assert!(approx / 2 <= exact && exact <= approx);
     }
 }

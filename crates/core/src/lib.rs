@@ -11,13 +11,14 @@
 //!   cycle accounting; [`reduce`] adds the three reduction rules with
 //!   the §IV-D parallel conflict-resolution semantics.
 //! * [`engine`] — the shared branch-and-reduce traversal loop, with
-//!   scheduling delegated to a [`SchedulePolicy`] and MVC / weighted
-//!   MVC / PVC termination unified by [`SearchMode`]. Every algorithm
-//!   is a thin policy over this one engine; the weighted variant
-//!   ([`SolverBuilder::weighted`]) changes only the bound arithmetic
-//!   and the reduction rules' inclusion gates to weight units (see
-//!   [`bound::SearchBound::WeightedMvc`]), so every policy solves
-//!   it unchanged.
+//!   scheduling delegated to a [`SchedulePolicy`] and MVC / PVC
+//!   termination unified by [`SearchMode`]. Every algorithm is a thin
+//!   policy over this one engine. There is one objective: the weight
+//!   channel of the graph being searched (see
+//!   [`bound::SearchBound`]), and a graph without weights is the
+//!   cardinality objective. [`Solver`] drops the weight channel on
+//!   entry whenever the caller asks for cardinality (MVC without
+//!   [`SolverBuilder::weighted`], and every PVC).
 //! * [`sequential`], [`stackonly`], [`hybrid`] — the paper's three
 //!   code versions as policies: the CPU baseline (Figure 1), prior
 //!   work's fixed-depth sub-tree scheme, and the contribution — local
@@ -54,7 +55,7 @@
 //!   weighted cover, both provably within 2× of the optimum and both
 //!   carrying a lower-bound certificate. Selectable as the solve seed
 //!   via [`SolverBuilder::seed`].
-//! * [`greedy`] (the initial bounds, cardinality and weighted),
+//! * [`greedy`] (the initial bound),
 //!   [`brute`] (the test oracles, including
 //!   [`brute::weighted_brute_force`]), [`verify`] (solution checking).
 //!

@@ -89,13 +89,11 @@ impl Heartbeat {
 }
 
 /// Human label for the current incumbent: `-` until a first solution
-/// exists (the atomics start at the type's MAX sentinel).
+/// exists (the atomic starts at the `u64::MAX` sentinel).
 fn best_label(bound: SearchBound) -> String {
     match bound {
-        SearchBound::Mvc { best: u32::MAX } => "-".to_string(),
-        SearchBound::Mvc { best } => best.to_string(),
         SearchBound::WeightedMvc { best: u64::MAX } => "-".to_string(),
-        SearchBound::WeightedMvc { best } => format!("w{best}"),
+        SearchBound::WeightedMvc { best } => best.to_string(),
         SearchBound::Pvc { k } => format!("k={k}"),
     }
 }
@@ -103,14 +101,14 @@ fn best_label(bound: SearchBound) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shared::{BoundKind, GlobalBest};
+    use crate::shared::{BoundKind, WeightedBest};
 
     #[test]
     fn ticks_count_and_interval_gates_printing() {
-        let best = GlobalBest::new(u32::MAX, Vec::new());
+        let best = WeightedBest::new(u64::MAX, Vec::new());
         let deadline = crate::shared::Deadline::new(None);
         let src = BoundSrc {
-            kind: BoundKind::Mvc(&best),
+            kind: BoundKind::WeightedMvc(&best),
             deadline: &deadline,
         };
         // A one-hour interval: nothing should print, but every tick
@@ -124,9 +122,8 @@ mod tests {
 
     #[test]
     fn best_labels() {
-        assert_eq!(best_label(SearchBound::Mvc { best: u32::MAX }), "-");
-        assert_eq!(best_label(SearchBound::Mvc { best: 7 }), "7");
-        assert_eq!(best_label(SearchBound::WeightedMvc { best: 12 }), "w12");
+        assert_eq!(best_label(SearchBound::WeightedMvc { best: u64::MAX }), "-");
+        assert_eq!(best_label(SearchBound::WeightedMvc { best: 7 }), "7");
         assert_eq!(best_label(SearchBound::Pvc { k: 3 }), "k=3");
     }
 }

@@ -57,17 +57,17 @@ impl<'a> Kernel<'a> {
             // Figure 1 applies each rule to ITS OWN fixpoint before the
             // next (the inner `while ∃v` loops), then repeats all three
             // while anything changed.
-            while self.degree_one_round(node, bound, scratch, counters, &mut stats) {
+            while self.degree_one_round(node, scratch, counters, &mut stats) {
                 changed = true;
             }
-            while self.degree_two_triangle_round(node, bound, scratch, counters, &mut stats) {
+            while self.degree_two_triangle_round(node, scratch, counters, &mut stats) {
                 changed = true;
             }
             while self.high_degree_round(node, bound, scratch, counters, &mut stats) {
                 changed = true;
             }
             if self.ext.domination_rule {
-                while self.domination_round(node, bound.is_weighted(), scratch, counters) {
+                while self.domination_round(node, scratch, counters) {
                     changed = true;
                 }
             }
@@ -81,15 +81,15 @@ impl<'a> Kernel<'a> {
     /// vertex `v` with neighbor `u`, taking `u` is never worse than
     /// taking `v`. Returns whether anything changed.
     ///
-    /// **Weighted gate**: the swap argument (`u` covers a superset of
+    /// **Weight gate**: the swap argument (`u` covers a superset of
     /// `v`'s edges) only bounds the cover weight when `w(u) ≤ w(v)`;
-    /// a weighted search skips applications that fail that test — the
-    /// leaf may genuinely be the cheaper endpoint (a weight-1 leaf on
-    /// a weight-100 hub belongs in the optimum).
+    /// applications that fail that test are skipped — the leaf may
+    /// genuinely be the cheaper endpoint (a weight-1 leaf on a
+    /// weight-100 hub belongs in the optimum). On a graph without
+    /// weights the gate never fires.
     fn degree_one_round(
         &self,
         node: &mut TreeNode,
-        bound: SearchBound,
         scratch: &mut BlockScratch,
         counters: &mut BlockCounters,
         stats: &mut ReduceStats,
@@ -119,7 +119,7 @@ impl<'a> Kernel<'a> {
             let u = node
                 .live_neighbor(self.graph, v)
                 .expect("degree-one vertex has a live neighbor");
-            if bound.is_weighted() && self.graph.weight(u) > self.graph.weight(v) {
+            if self.graph.weight(u) > self.graph.weight(v) {
                 continue;
             }
             self.remove_vertex(node, u, Activity::DegreeOneRule, counters);
@@ -134,13 +134,13 @@ impl<'a> Kernel<'a> {
     /// be covered and `{u, w}` is never worse. Returns whether anything
     /// changed.
     ///
-    /// **Weighted gate**: swapping `v` out for whichever of `{u, w}` a
+    /// **Weight gate**: swapping `v` out for whichever of `{u, w}` a
     /// cover is missing only bounds the weight when both partners cost
-    /// at most `w(v)`; a weighted search skips the rest.
+    /// at most `w(v)`; the rest are skipped (never on a graph without
+    /// weights).
     fn degree_two_triangle_round(
         &self,
         node: &mut TreeNode,
-        bound: SearchBound,
         scratch: &mut BlockScratch,
         counters: &mut BlockCounters,
         stats: &mut ReduceStats,
@@ -176,9 +176,7 @@ impl<'a> Kernel<'a> {
                 Activity::DegreeTwoTriangleRule,
                 self.cost.parallel_op(1, self.block_size, self.variant),
             );
-            if bound.is_weighted()
-                && self.graph.weight(u).max(self.graph.weight(w)) > self.graph.weight(v)
-            {
+            if self.graph.weight(u).max(self.graph.weight(w)) > self.graph.weight(v) {
                 continue;
             }
             if self.graph.has_edge(u, w) {
@@ -194,9 +192,9 @@ impl<'a> Kernel<'a> {
     /// One parallel round of the high-degree rule: a live vertex whose
     /// degree exceeds the remaining cover budget can never be covered
     /// "from the other side" within the bound, so it joins the cover.
-    /// Returns whether anything changed. Under a weighted bound the
-    /// budget is in weight units, which only strengthens the argument:
-    /// `d` forced neighbors cost at least `d` weight (each weight ≥ 1).
+    /// Returns whether anything changed. The budget is in weight units,
+    /// which only strengthens the argument: `d` forced neighbors cost
+    /// at least `d` weight (each weight ≥ 1).
     ///
     /// When the budget is already negative the rule is skipped — the
     /// stopping condition prunes such nodes right after `reduce`
@@ -215,7 +213,7 @@ impl<'a> Kernel<'a> {
             self.cost
                 .parallel_op(node.len() as u64, self.block_size, self.variant),
         );
-        let Some(threshold) = bound.high_degree_threshold(bound.node_cost(node)) else {
+        let Some(threshold) = bound.budget(node.cover_weight()) else {
             return false;
         };
         gather_indices(
@@ -229,7 +227,7 @@ impl<'a> Kernel<'a> {
         for &v in &scratch.candidates {
             // The budget shrinks as the rule fires; recompute like the
             // serial `while ∃v s.t. d(v) > best − |S| − 1` does.
-            let Some(threshold) = bound.high_degree_threshold(bound.node_cost(node)) else {
+            let Some(threshold) = bound.budget(node.cover_weight()) else {
                 break;
             };
             if node.degree(v) < 0 || (node.degree(v) as i64) <= threshold {
@@ -266,7 +264,7 @@ mod tests {
     fn degree_one_solves_paths_completely() {
         // A path reduces to nothing by repeated degree-one application.
         let g = gen::path(10);
-        let (node, stats) = run_reduce(&g, SearchBound::Mvc { best: u32::MAX });
+        let (node, stats) = run_reduce(&g, SearchBound::WeightedMvc { best: u64::MAX });
         assert!(node.is_edgeless());
         assert_eq!(node.cover_size(), 5); // optimal for P10
         assert!(stats.degree_one >= 1);
@@ -275,7 +273,7 @@ mod tests {
     #[test]
     fn degree_one_takes_the_neighbor_not_the_leaf() {
         let g = gen::star(6);
-        let (node, _) = run_reduce(&g, SearchBound::Mvc { best: u32::MAX });
+        let (node, _) = run_reduce(&g, SearchBound::WeightedMvc { best: u64::MAX });
         assert!(node.is_removed(0), "the hub must join the cover");
         assert_eq!(node.cover_size(), 1);
         assert!(node.is_edgeless());
@@ -286,7 +284,7 @@ mod tests {
         // Both endpoints are degree-one; §IV-D: only one application
         // fires (smaller id acts, removing its neighbor).
         let g = CsrGraph::from_edges(2, &[(0, 1)]).unwrap();
-        let (node, stats) = run_reduce(&g, SearchBound::Mvc { best: u32::MAX });
+        let (node, stats) = run_reduce(&g, SearchBound::WeightedMvc { best: u64::MAX });
         assert_eq!(node.cover_size(), 1);
         assert!(
             node.is_removed(1),
@@ -300,7 +298,7 @@ mod tests {
     fn shared_neighbor_removed_once() {
         // Two leaves hanging off the same hub: one removal suffices.
         let g = CsrGraph::from_edges(3, &[(0, 2), (1, 2)]).unwrap();
-        let (node, stats) = run_reduce(&g, SearchBound::Mvc { best: u32::MAX });
+        let (node, stats) = run_reduce(&g, SearchBound::WeightedMvc { best: u64::MAX });
         assert_eq!(node.cover_size(), 1);
         assert!(node.is_removed(2));
         assert_eq!(stats.degree_one, 1);
@@ -314,7 +312,7 @@ mod tests {
         // build it so only the triangle rule applies initially.
         let g = CsrGraph::from_edges(5, &[(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4)]).unwrap();
         // Degrees: 0:2, 1:3, 2:3, 3:2, 4:2 — no degree-one vertices.
-        let (node, stats) = run_reduce(&g, SearchBound::Mvc { best: u32::MAX });
+        let (node, stats) = run_reduce(&g, SearchBound::WeightedMvc { best: u64::MAX });
         assert!(node.is_edgeless());
         assert!(stats.degree_two_triangle >= 2);
         assert!(
@@ -328,7 +326,7 @@ mod tests {
         // K3: every vertex has degree 2 and all are in one triangle.
         // Only the smallest id (0) applies; its neighbors {1,2} join.
         let g = gen::complete(3);
-        let (node, stats) = run_reduce(&g, SearchBound::Mvc { best: u32::MAX });
+        let (node, stats) = run_reduce(&g, SearchBound::WeightedMvc { best: u64::MAX });
         assert_eq!(node.cover_size(), 2);
         assert!(node.is_removed(1) && node.is_removed(2));
         assert!(!node.is_removed(0));
@@ -340,7 +338,7 @@ mod tests {
         // Star K_{1,5} with best = 3: hub degree 5 > 3-0-1 = 2 → hub
         // joins the cover immediately; graph becomes edgeless.
         let g = gen::star(6);
-        let (node, stats) = run_reduce(&g, SearchBound::Mvc { best: 3 });
+        let (node, stats) = run_reduce(&g, SearchBound::WeightedMvc { best: 3 });
         assert!(node.is_removed(0));
         assert!(node.is_edgeless());
         // The degree-one rule may get there first (it also targets the
@@ -364,7 +362,7 @@ mod tests {
         let before = node.cover_size();
         k.reduce(
             &mut node,
-            SearchBound::Mvc { best: 1 },
+            SearchBound::WeightedMvc { best: 1 },
             &mut BlockScratch::new(),
             &mut c,
         );
@@ -380,7 +378,7 @@ mod tests {
         for seed in 0..10 {
             let g = gen::gnp(12, 0.3, seed);
             let opt = crate::brute::brute_force_mvc(&g).0;
-            let (node, _) = run_reduce(&g, SearchBound::Mvc { best: u32::MAX });
+            let (node, _) = run_reduce(&g, SearchBound::WeightedMvc { best: u64::MAX });
             let residual = residual_graph(&g, &node);
             let opt_rest = crate::brute::brute_force_mvc(&residual).0;
             assert_eq!(

@@ -83,13 +83,13 @@ mod tests {
     use crate::brute::brute_force_mvc;
     use crate::engine::Engine;
     use crate::extensions::Extensions;
-    use crate::greedy::greedy_mvc;
-    use crate::shared::{Deadline, RawParallel, RawParallelPvc};
+    use crate::greedy::greedy_weighted_mvc;
+    use crate::shared::{Deadline, RawParallelPvc, RawWeighted};
     use crate::verify::is_vertex_cover;
     use parvc_graph::{gen, CsrGraph};
     use parvc_simgpu::{CostModel, DeviceSpec};
 
-    fn solve_mvc(g: &CsrGraph, initial: (u32, Vec<u32>)) -> RawParallel {
+    fn solve_mvc(g: &CsrGraph, initial: (u64, Vec<u32>)) -> RawWeighted {
         let device = DeviceSpec::scaled(1);
         let cost = CostModel::default();
         let deadline = Deadline::new(None);
@@ -123,8 +123,8 @@ mod tests {
         engine.solve_pvc(&SequentialFactory::new(), k)
     }
 
-    fn mvc(g: &CsrGraph) -> RawParallel {
-        solve_mvc(g, greedy_mvc(g))
+    fn mvc(g: &CsrGraph) -> RawWeighted {
+        solve_mvc(g, greedy_weighted_mvc(g))
     }
 
     #[test]
@@ -133,34 +133,34 @@ mod tests {
             let g = gen::gnp(14, 0.35, seed);
             let out = mvc(&g);
             let (opt, _) = brute_force_mvc(&g);
-            assert_eq!(out.best_size, opt, "seed {seed}");
+            assert_eq!(out.best_weight, u64::from(opt), "seed {seed}");
             assert!(is_vertex_cover(&g, &out.best_cover));
-            assert_eq!(out.best_cover.len() as u32, out.best_size);
+            assert_eq!(out.best_cover.len() as u64, out.best_weight);
         }
     }
 
     #[test]
     fn known_instances() {
-        assert_eq!(mvc(&gen::petersen()).best_size, 6);
-        assert_eq!(mvc(&gen::cycle(9)).best_size, 5);
-        assert_eq!(mvc(&gen::complete(8)).best_size, 7);
-        assert_eq!(mvc(&gen::paper_example()).best_size, 3);
-        assert_eq!(mvc(&gen::grid2d(4, 4)).best_size, 8);
+        assert_eq!(mvc(&gen::petersen()).best_weight, 6);
+        assert_eq!(mvc(&gen::cycle(9)).best_weight, 5);
+        assert_eq!(mvc(&gen::complete(8)).best_weight, 7);
+        assert_eq!(mvc(&gen::paper_example()).best_weight, 3);
+        assert_eq!(mvc(&gen::grid2d(4, 4)).best_weight, 8);
     }
 
     #[test]
     fn handles_edgeless_and_empty() {
         let empty = CsrGraph::from_edges(0, &[]).unwrap();
-        assert_eq!(mvc(&empty).best_size, 0);
+        assert_eq!(mvc(&empty).best_weight, 0);
         let edgeless = CsrGraph::from_edges(5, &[]).unwrap();
-        assert_eq!(mvc(&edgeless).best_size, 0);
+        assert_eq!(mvc(&edgeless).best_weight, 0);
     }
 
     #[test]
     fn pvc_agreement_with_mvc_size() {
         for seed in 0..6 {
             let g = gen::gnp(13, 0.3, seed + 100);
-            let min = mvc(&g).best_size;
+            let min = mvc(&g).best_weight as u32;
             // k = min - 1: infeasible (exhaustive search, no solution).
             if min > 0 {
                 let below = solve_pvc(&g, min - 1);
@@ -199,18 +199,18 @@ mod tests {
         // When greedy is already optimal the search must return it.
         let g = gen::star(12);
         let out = mvc(&g);
-        assert_eq!(out.best_size, 1);
+        assert_eq!(out.best_weight, 1);
         assert!(is_vertex_cover(&g, &out.best_cover));
     }
 
     #[test]
     fn visits_fewer_nodes_with_tighter_initial_bound() {
         let g = gen::gnp(18, 0.4, 3);
-        let greedy = greedy_mvc(&g);
-        let loose = solve_mvc(&g, (u32::MAX, (0..18).collect()));
+        let greedy = greedy_weighted_mvc(&g);
+        let loose = solve_mvc(&g, (u64::MAX, (0..18).collect()));
         let tight = solve_mvc(&g, greedy);
-        assert_eq!(loose.best_size, tight.best_size);
-        let nodes = |raw: &RawParallel| raw.blocks[0].tree_nodes_visited;
+        assert_eq!(loose.best_weight, tight.best_weight);
+        let nodes = |raw: &RawWeighted| raw.blocks[0].tree_nodes_visited;
         assert!(
             nodes(&tight) <= nodes(&loose),
             "greedy seeding must not increase work ({} > {})",

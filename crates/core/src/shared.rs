@@ -2,77 +2,26 @@
 //! found-flag.
 
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use parvc_graph::VertexId;
 
 use crate::TreeNode;
 
-/// The global best solution for MVC: an atomic size (what the kernels
-/// compare against, Figure 4 line 12/18) plus the witness cover guarded
-/// by a lock (updated only on improvement, so contention is negligible).
-pub struct GlobalBest {
-    size: AtomicU32,
-    witness: Mutex<(u32, Vec<VertexId>)>,
-}
-
-impl GlobalBest {
-    /// Starts from the greedy approximation (Figure 1 line 1).
-    pub fn new(size: u32, cover: Vec<VertexId>) -> Self {
-        GlobalBest {
-            size: AtomicU32::new(size),
-            witness: Mutex::new((size, cover)),
-        }
-    }
-
-    /// Current best size (a relaxed read, like a kernel load of the
-    /// global; staleness only costs extra exploration, never
-    /// correctness).
-    pub fn load(&self) -> u32 {
-        self.size.load(Ordering::Relaxed)
-    }
-
-    /// Records `node`'s cover if strictly better (Figure 4 line 18's
-    /// atomic min). Returns whether this call improved the best.
-    pub fn try_improve(&self, node: &TreeNode) -> bool {
-        let new = node.cover_size();
-        let mut cur = self.size.load(Ordering::Relaxed);
-        loop {
-            if new >= cur {
-                return false;
-            }
-            match self
-                .size
-                .compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(actual) => cur = actual,
-            }
-        }
-        let mut witness = self.witness.lock();
-        if new < witness.0 {
-            *witness = (new, node.cover_vertices());
-        }
-        true
-    }
-
-    /// Final answer: the smallest cover recorded.
-    pub fn into_result(self) -> (u32, Vec<VertexId>) {
-        self.witness.into_inner()
-    }
-}
-
-/// The global best solution for **weighted** MVC: [`GlobalBest`] with
-/// the atomic ordered on cover *weight* ([`TreeNode::cover_weight`])
-/// instead of cover size. Kept as its own type so the unweighted hot
-/// path stays a 32-bit atomic, exactly as the paper's kernels load it.
+/// The global best solution for MVC: an atomic cover cost (what the
+/// kernels compare against, Figure 4 line 12/18) plus the witness
+/// cover guarded by a lock (updated only on improvement, so contention
+/// is negligible). The cost is the cover *weight*
+/// ([`TreeNode::cover_weight`]), which is the cover size on a graph
+/// without weights — so the paper's 32-bit size atomic becomes a
+/// 64-bit one here.
 pub struct WeightedBest {
     weight: AtomicU64,
     witness: Mutex<(u64, Vec<VertexId>)>,
 }
 
 impl WeightedBest {
-    /// Starts from the weighted greedy approximation.
+    /// Starts from the greedy approximation (Figure 1 line 1).
     pub fn new(weight: u64, cover: Vec<VertexId>) -> Self {
         WeightedBest {
             weight: AtomicU64::new(weight),
@@ -86,8 +35,9 @@ impl WeightedBest {
         self.weight.load(Ordering::Relaxed)
     }
 
-    /// Records `node`'s cover if its weight is strictly better.
-    /// Returns whether this call improved the best.
+    /// Records `node`'s cover if its weight is strictly better (Figure
+    /// 4 line 18's atomic min). Returns whether this call improved the
+    /// best.
     pub fn try_improve(&self, node: &TreeNode) -> bool {
         let new = node.cover_weight();
         let mut cur = self.weight.load(Ordering::Relaxed);
@@ -202,9 +152,7 @@ impl Deadline {
 /// The problem kind a traversal is bounded by.
 #[derive(Clone, Copy)]
 pub enum BoundKind<'a> {
-    /// MVC: bound against the live global best.
-    Mvc(&'a GlobalBest),
-    /// Weighted MVC: bound against the live global best *weight*.
+    /// MVC: bound against the live global best (weight).
     WeightedMvc(&'a WeightedBest),
     /// PVC: bound against fixed `k`, with the early-exit flag.
     Pvc {
@@ -230,7 +178,6 @@ impl<'a> BoundSrc<'a> {
     /// load from global memory).
     pub fn bound(&self) -> crate::bound::SearchBound {
         match self.kind {
-            BoundKind::Mvc(best) => crate::bound::SearchBound::Mvc { best: best.load() },
             BoundKind::WeightedMvc(best) => {
                 crate::bound::SearchBound::WeightedMvc { best: best.load() }
             }
@@ -242,10 +189,6 @@ impl<'a> BoundSrc<'a> {
     /// should stop (PVC: first cover ≤ k ends the search).
     pub fn on_solution(&self, node: &TreeNode) -> bool {
         match self.kind {
-            BoundKind::Mvc(best) => {
-                best.try_improve(node);
-                false
-            }
             BoundKind::WeightedMvc(best) => {
                 best.try_improve(node);
                 false
@@ -262,7 +205,7 @@ impl<'a> BoundSrc<'a> {
     /// extra condition) or the wall-clock budget is spent.
     pub fn should_abort(&self) -> bool {
         let kind_abort = match self.kind {
-            BoundKind::Mvc(_) | BoundKind::WeightedMvc(_) => false,
+            BoundKind::WeightedMvc(_) => false,
             BoundKind::Pvc { found, .. } => found.is_set(),
         };
         kind_abort || self.deadline.expired()
@@ -270,16 +213,6 @@ impl<'a> BoundSrc<'a> {
 }
 
 /// Raw result of a parallel MVC launch, before report assembly.
-pub struct RawParallel {
-    /// Best cover size.
-    pub best_size: u32,
-    /// Witness cover.
-    pub best_cover: Vec<VertexId>,
-    /// Per-block instrumentation.
-    pub blocks: Vec<parvc_simgpu::counters::BlockCounters>,
-}
-
-/// Raw result of a parallel **weighted** MVC launch.
 pub struct RawWeighted {
     /// Best cover weight.
     pub best_weight: u64,
@@ -313,7 +246,7 @@ mod tests {
     #[test]
     fn improves_monotonically() {
         let g = gen::complete(6);
-        let best = GlobalBest::new(6, (0..6).collect());
+        let best = WeightedBest::new(6, (0..6).collect());
         assert!(best.try_improve(&node_covering(&g, &[0, 1, 2, 3, 4])));
         assert_eq!(best.load(), 5);
         assert!(
@@ -328,7 +261,7 @@ mod tests {
     #[test]
     fn concurrent_improvements_keep_smallest_witness() {
         let g = gen::complete(10);
-        let best = GlobalBest::new(10, (0..10).collect());
+        let best = WeightedBest::new(10, (0..10).collect());
         std::thread::scope(|s| {
             for take in 5..9u32 {
                 let best = &best;

@@ -10,6 +10,7 @@
 //! assert_eq!(result.size, 6);
 //! ```
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -26,7 +27,7 @@ use parvc_obs::{RecordingSink, Sink, SpanTimer};
 
 use crate::engine::{Engine, EngineObs, PolicyFactory, SearchMode, SearchOutcome};
 use crate::extensions::Extensions;
-use crate::greedy::{greedy_mvc_bounded, greedy_weighted_mvc_bounded};
+use crate::greedy::greedy_weighted_mvc_bounded;
 use crate::hybrid::{HybridFactory, HybridParams};
 use crate::sequential::SequentialFactory;
 use crate::shared::Deadline;
@@ -280,6 +281,13 @@ impl SolverBuilder {
     /// solve exactly. When preprocessing is configured, only
     /// weight-sound kernelization rules run (see
     /// [`PrepConfig::weighted`]).
+    ///
+    /// There is one search: its objective is the weight channel of the
+    /// graph it searches. Without this option (and for every
+    /// [`Solver::solve_pvc`]) the solver asks for cardinality, so it
+    /// drops the graph's weight channel once on entry and searches the
+    /// unweighted copy; [`MvcResult::weight`] is still the cover's
+    /// weight on the caller's graph.
     ///
     /// ```
     /// use parvc_core::{Algorithm, Solver, is_vertex_cover};
@@ -551,70 +559,37 @@ impl Solver {
         }
         let deadline = Deadline::new(self.cfg.deadline);
 
+        let searched = if self.cfg.weighted {
+            Cow::Borrowed(g)
+        } else {
+            without_weights(g)
+        };
+
         if let Some(prep_cfg) = &self.cfg.prep {
-            return self.solve_mvc_prep(g, prep_cfg, start, &deadline, obs);
+            return self.solve_mvc_prep(g, &searched, prep_cfg, start, &deadline, obs);
         }
 
-        if self.cfg.weighted {
-            let mut greedy = self.seed_weighted(g, &deadline);
-            let greedy_size = greedy.1.len() as u32;
-            if let Some(seed) = warm {
-                let seed_weight = g.cover_weight(seed);
-                if seed_weight < greedy.0 {
-                    greedy = (seed_weight, seed.to_vec());
-                }
-            }
-            let (outcome, launch) = self.run_engine(
-                g,
-                SearchMode::WeightedMvc { initial: greedy },
-                &deadline,
-                false,
-                obs,
-            );
-            let raw = match outcome {
-                SearchOutcome::Weighted(raw) => raw,
-                _ => unreachable!("weighted mode returns a weighted outcome"),
-            };
-            let report = self.launch_report(launch.is_some(), raw.blocks);
-            return MvcResult {
-                size: raw.best_cover.len() as u32,
-                weight: raw.best_weight,
-                cover: raw.best_cover,
-                stats: SolveStats {
-                    wall_time: start.elapsed(),
-                    tree_nodes: report.total_tree_nodes,
-                    device_cycles: report.device_cycles,
-                    launch,
-                    report,
-                    greedy_size,
-                    timed_out: deadline.was_hit(),
-                    prep: None,
-                    telemetry: None,
-                },
-            };
-        }
-
-        let mut greedy = self.seed_unweighted(g, &deadline);
-        let greedy_size = greedy.0;
+        let mut greedy = self.seed(&searched, &deadline);
+        let greedy_size = greedy.1.len() as u32;
         if let Some(seed) = warm {
-            if (seed.len() as u32) < greedy.0 {
-                greedy = (seed.len() as u32, seed.to_vec());
+            let seed_weight = searched.cover_weight(seed);
+            if seed_weight < greedy.0 {
+                greedy = (seed_weight, seed.to_vec());
             }
         }
         let (outcome, launch) = self.run_engine(
-            g,
-            SearchMode::Mvc { initial: greedy },
+            &searched,
+            SearchMode::WeightedMvc { initial: greedy },
             &deadline,
             false,
             obs,
         );
-        let raw = match outcome {
-            SearchOutcome::Mvc(raw) => raw,
-            _ => unreachable!("MVC mode returns an MVC outcome"),
+        let SearchOutcome::Weighted(raw) = outcome else {
+            unreachable!("MVC mode returns an MVC outcome")
         };
         let report = self.launch_report(launch.is_some(), raw.blocks);
         MvcResult {
-            size: raw.best_size,
+            size: raw.best_cover.len() as u32,
             weight: g.cover_weight(&raw.best_cover),
             cover: raw.best_cover,
             stats: SolveStats {
@@ -634,7 +609,8 @@ impl Solver {
     /// Solves PARAMETERIZED VERTEX COVER on `g` with parameter `k`.
     /// PVC is a cardinality question ("is there a cover of ≤ k
     /// *vertices*?"), so [`SolverBuilder::weighted`] does not change
-    /// it.
+    /// it: the solver drops the graph's weight channel on entry and
+    /// searches the unweighted copy.
     ///
     /// Degrades to inline execution on over-sized graphs exactly like
     /// [`solve_mvc`](Self::solve_mvc).
@@ -657,6 +633,7 @@ impl Solver {
             };
         }
         let deadline = Deadline::new(self.cfg.deadline);
+        let g = &*without_weights(g);
 
         if let Some(prep_cfg) = &self.cfg.prep {
             return self.solve_pvc_prep(g, prep_cfg, k, start, &deadline, obs);
@@ -685,15 +662,17 @@ impl Solver {
         }
     }
 
-    /// MVC through the kernelization pipeline: preprocess once, solve
-    /// each kernel component as an independent engine sub-search under
-    /// the shared deadline, and lift the sub-covers back to the
-    /// original graph. In weighted mode the pipeline runs with
-    /// [`PrepConfig::weighted`] forced on, so only weight-sound rules
-    /// fire, and each component sub-search minimizes weight.
+    /// MVC through the kernelization pipeline: preprocess `searched`
+    /// once, solve each kernel component as an independent engine
+    /// sub-search under the shared deadline, and lift the sub-covers
+    /// back to the original graph `g`. In weighted mode the pipeline
+    /// runs with [`PrepConfig::weighted`] forced on, so only
+    /// weight-sound rules fire, and each component sub-search
+    /// minimizes weight.
     fn solve_mvc_prep(
         &self,
         g: &CsrGraph,
+        searched: &CsrGraph,
         prep_cfg: &PrepConfig,
         start: Instant,
         deadline: &Deadline,
@@ -701,8 +680,8 @@ impl Solver {
     ) -> MvcResult {
         let mut prep_cfg = prep_cfg.clone();
         prep_cfg.weighted |= self.cfg.weighted;
-        let kernel = parvc_prep::preprocess_traced(g, &prep_cfg, obs.sink);
-        let (sub_covers, agg) = self.solve_components(&kernel, deadline, self.cfg.weighted, obs);
+        let kernel = parvc_prep::preprocess_traced(searched, &prep_cfg, obs.sink);
+        let (sub_covers, agg) = self.solve_components(&kernel, deadline, obs);
         let cover = kernel.lift(&sub_covers);
         let report = self.launch_report(agg.launch.is_some(), agg.blocks);
         MvcResult {
@@ -747,7 +726,7 @@ impl Solver {
                 stats,
             };
         }
-        let (sub_covers, agg) = self.solve_components(&kernel, deadline, false, obs);
+        let (sub_covers, agg) = self.solve_components(&kernel, deadline, obs);
         let total = forced as u64 + sub_covers.iter().map(|c| c.len() as u64).sum::<u64>();
         let cover = (total <= k as u64).then(|| kernel.lift(&sub_covers));
         let report = self.launch_report(agg.launch.is_some(), agg.blocks);
@@ -769,43 +748,25 @@ impl Solver {
     }
 
     /// The launch seed under the configured
-    /// [`SeedStrategy`](crate::approx::SeedStrategy): `(size, cover)`
-    /// in cardinality mode. The approx tier ignores the deadline — it
-    /// is `O(|V| + |E|)` per round with a bounded round count, the
-    /// very property that makes it the massive-instance seed. It still
-    /// runs the greedy sweep and keeps the better of the two covers:
-    /// the certificate caps the result at twice the optimum, and
-    /// taking a minimum only tightens it, so the approx strategy never
-    /// starts from a worse incumbent than greedy would.
-    fn seed_unweighted(&self, g: &CsrGraph, deadline: &Deadline) -> (u32, Vec<u32>) {
-        match self.cfg.ext.seed_strategy {
-            crate::approx::SeedStrategy::Greedy => greedy_mvc_bounded(g, deadline),
-            crate::approx::SeedStrategy::Approx => {
-                let mut counters = parvc_simgpu::counters::BlockCounters::new(u32::MAX);
-                let a = crate::approx::matching_cover_exec(g, &*self.exec, &mut counters);
-                let (gsize, gcover) = greedy_mvc_bounded(g, deadline);
-                if u64::from(gsize) < a.cost {
-                    (gsize, gcover)
-                } else {
-                    (a.cost as u32, a.cover)
-                }
-            }
-        }
-    }
-
-    /// Weighted twin of [`seed_unweighted`](Self::seed_unweighted):
-    /// `(weight, cover)`, with the approx tier running the primal-dual
-    /// pass (again keeping the greedy cover when it happens to be
-    /// lighter — the 2× band is a ceiling, not a target).
-    fn seed_weighted(&self, g: &CsrGraph, deadline: &Deadline) -> (u64, Vec<u32>) {
+    /// [`SeedStrategy`](crate::approx::SeedStrategy): `(weight, cover)`
+    /// over `g`'s weight channel. The approx tier ignores the deadline
+    /// — it is `O(|V| + |E|)` per round with a bounded round count, the
+    /// very property that makes it the massive-instance seed — and runs
+    /// the round-compressed matching on a graph without weights, the
+    /// primal-dual pass on a weighted one. It still runs the greedy
+    /// sweep and keeps the better of the two covers: the certificate
+    /// caps the result at twice the optimum, and taking a minimum only
+    /// tightens it, so the approx strategy never starts from a worse
+    /// incumbent than greedy would.
+    fn seed(&self, g: &CsrGraph, deadline: &Deadline) -> (u64, Vec<u32>) {
         match self.cfg.ext.seed_strategy {
             crate::approx::SeedStrategy::Greedy => greedy_weighted_mvc_bounded(g, deadline),
             crate::approx::SeedStrategy::Approx => {
                 let mut counters = parvc_simgpu::counters::BlockCounters::new(u32::MAX);
-                let a = crate::approx::weighted_approx_cover(g, &mut counters);
-                let (gweight, gcover) = greedy_weighted_mvc_bounded(g, deadline);
-                if gweight < a.cost {
-                    (gweight, gcover)
+                let a = crate::approx::approx_cover(g, g.is_weighted(), &*self.exec, &mut counters);
+                let greedy = greedy_weighted_mvc_bounded(g, deadline);
+                if greedy.0 < a.cost {
+                    greedy
                 } else {
                     (a.cost, a.cover)
                 }
@@ -822,7 +783,6 @@ impl Solver {
         &self,
         kernel: &parvc_prep::Kernel,
         deadline: &Deadline,
-        weighted: bool,
         obs: SolveObs<'_>,
     ) -> (Vec<Vec<u32>>, ComponentAggregate) {
         let mut agg = ComponentAggregate {
@@ -839,39 +799,21 @@ impl Solver {
             let t_comp = SpanTimer::start(obs.sink);
             obs.sink.counter("component.sub_searches", 1);
             let inline = inst.graph.num_vertices() < PREP_INLINE_BELOW;
-            // The component graphs carry the original's vertex weights
-            // through the prep relabeling, so a weighted sub-search
+            // The component graphs carry the searched graph's vertex
+            // weights through the prep relabeling, so each sub-search
             // minimizes exactly the lifted objective.
-            let (outcome, launch, best_cover);
-            if weighted {
-                let greedy = self.seed_weighted(&inst.graph, deadline);
-                agg.greedy_total += greedy.1.len() as u32;
-                let mode = SearchMode::WeightedMvc { initial: greedy };
-                (outcome, launch) = self.run_engine(&inst.graph, mode, deadline, inline, obs);
-                best_cover = match outcome {
-                    SearchOutcome::Weighted(raw) => {
-                        agg.blocks.extend(raw.blocks);
-                        raw.best_cover
-                    }
-                    _ => unreachable!("weighted mode returns a weighted outcome"),
-                };
-            } else {
-                let greedy = self.seed_unweighted(&inst.graph, deadline);
-                agg.greedy_total += greedy.0;
-                let mode = SearchMode::Mvc { initial: greedy };
-                (outcome, launch) = self.run_engine(&inst.graph, mode, deadline, inline, obs);
-                best_cover = match outcome {
-                    SearchOutcome::Mvc(raw) => {
-                        agg.blocks.extend(raw.blocks);
-                        raw.best_cover
-                    }
-                    _ => unreachable!("MVC mode returns an MVC outcome"),
-                };
-            }
+            let greedy = self.seed(&inst.graph, deadline);
+            agg.greedy_total += greedy.1.len() as u32;
+            let mode = SearchMode::WeightedMvc { initial: greedy };
+            let (outcome, launch) = self.run_engine(&inst.graph, mode, deadline, inline, obs);
+            let SearchOutcome::Weighted(raw) = outcome else {
+                unreachable!("MVC mode returns an MVC outcome")
+            };
+            agg.blocks.extend(raw.blocks);
             if agg.launch.is_none() {
                 agg.launch = launch;
             }
-            sub_covers.push(best_cover);
+            sub_covers.push(raw.best_cover);
             t_comp.finish(obs.sink, "component", "sub-search", 0, idx as u64);
         }
         (sub_covers, agg)
@@ -1032,6 +974,16 @@ impl<'a> SolveObs<'a> {
             sink: sink.map_or(&parvc_obs::NOOP as &dyn Sink, |s| s as &dyn Sink),
             progress,
         }
+    }
+}
+
+/// `g` without its weight channel — what a cardinality solve searches.
+/// Copies the graph only when it carries weights.
+fn without_weights(g: &CsrGraph) -> Cow<'_, CsrGraph> {
+    if g.is_weighted() {
+        Cow::Owned(g.clone().without_weights())
+    } else {
+        Cow::Borrowed(g)
     }
 }
 

@@ -53,7 +53,7 @@ use parvc_simgpu::counters::{Activity, BlockCounters};
 
 use crate::bound::SearchBound;
 use crate::connect::{ConnPool, Connectivity};
-use crate::greedy::{greedy_mvc, greedy_weighted_mvc};
+use crate::greedy::greedy_weighted_mvc;
 use crate::ops::Kernel;
 use crate::scratch::BlockScratch;
 use crate::TreeNode;
@@ -80,13 +80,14 @@ pub enum SplitBound {
     /// ([`parvc_prep::lp_lower_bound`]): dominates the matching bound
     /// on every graph, so sibling budgets are at least as tight and
     /// budgeted sub-searches prune at least as early. The default.
-    /// Weighted traversals use [`parvc_prep::weighted_lower_bound`] —
-    /// the better of the min-weight matching bound and the primal-dual
-    /// LP dual (the unweighted LP says nothing about cover *weight*).
+    /// Graphs with a weight channel use
+    /// [`parvc_prep::weighted_lower_bound`] instead — the better of the
+    /// min-weight matching bound and the primal-dual LP dual (the
+    /// unweighted LP says nothing about cover *weight*).
     #[default]
     Lp,
-    /// A greedy maximal matching (min-weight endpoint sum in weighted
-    /// searches) — the PR 3 baseline.
+    /// A greedy maximal matching — the original baseline. Like
+    /// [`SplitBound::Lp`], it applies only to graphs without weights.
     Matching,
 }
 
@@ -131,12 +132,12 @@ impl SplitParams {
 /// One connected component of a disconnected residual, extracted as a
 /// standalone instance (vertices relabeled to `0..n`).
 ///
-/// All cost fields are in the units of the search that produced the
-/// split: cover *weight* for [`SearchBound::WeightedMvc`] traversals,
-/// cover cardinality otherwise. The extracted `graph` carries the
-/// parent's vertex weights through the relabeling
-/// ([`parvc_graph::ops::induced_subgraph`]), so weighted sub-searches
-/// see exactly the weights of the vertices they stand for.
+/// All cost fields are in the objective's units: cover *weight* over
+/// the extracted `graph`'s weight channel, which is cover cardinality
+/// when the graph has none. The extracted `graph` carries the parent's
+/// vertex weights through the relabeling
+/// ([`parvc_graph::ops::induced_subgraph`]), so sub-searches see
+/// exactly the weights of the vertices they stand for.
 pub struct SubInstance {
     /// The component as its own graph (weights relabeled from the
     /// parent when the parent is weighted).
@@ -147,12 +148,12 @@ pub struct SubInstance {
     /// Seed cover of the component (greedy or approx, per
     /// [`crate::Extensions::seed_strategy`]) — the sub-search's initial
     /// upper bound and its fallback witness. `(cost, witness)` in the
-    /// search's units.
+    /// objective's units.
     pub greedy: (u64, Vec<VertexId>),
     /// Lower bound on the component's optimum — [`SplitBound`]'s
-    /// choice in cardinality searches,
+    /// choice on a graph without weights,
     /// [`parvc_prep::weighted_lower_bound`] (matching ∨ primal-dual
-    /// dual) in weighted ones; the sibling budgets are derived from
+    /// dual) on a weighted one; the sibling budgets are derived from
     /// these.
     pub lower_bound: u64,
 }
@@ -316,7 +317,6 @@ pub fn detect_components(
     params: SplitParams,
     conn: &mut Connectivity,
     counters: &mut BlockCounters,
-    weighted: bool,
 ) -> Option<Vec<SubInstance>> {
     if !trigger(node, params) {
         return None;
@@ -347,45 +347,34 @@ pub fn detect_components(
         .filter(|m| m.len() > 1)
         .map(|m| {
             let (graph, _) = ops::induced_subgraph(kernel.graph, &m);
-            let approx_seed = kernel.ext.seed_strategy == crate::approx::SeedStrategy::Approx;
-            let (greedy, lower_bound) = if weighted {
-                // The approx strategy keeps whichever of the bounded
-                // cover and the greedy sweep is lighter: the 2×
-                // certificate survives a minimum, and the sibling
-                // budgets it feeds must never loosen vs greedy.
-                let seed = if approx_seed {
-                    let a = crate::approx::weighted_approx_cover(&graph, counters);
-                    let (gw, gc) = greedy_weighted_mvc(&graph);
-                    if gw < a.cost {
-                        (gw, gc)
+            let weighted = graph.is_weighted();
+            // The approx strategy keeps whichever of the bounded cover
+            // and the greedy sweep is lighter: the 2× certificate
+            // survives a minimum, and the sibling budgets it feeds must
+            // never loosen vs greedy.
+            let greedy = greedy_weighted_mvc(&graph);
+            let greedy = match kernel.ext.seed_strategy {
+                crate::approx::SeedStrategy::Approx => {
+                    let a = crate::approx::approx_cover(&graph, weighted, kernel.exec, counters);
+                    if greedy.0 < a.cost {
+                        greedy
                     } else {
                         (a.cost, a.cover)
                     }
-                } else {
-                    greedy_weighted_mvc(&graph)
-                };
-                // The unweighted LP certifies nothing about cover
-                // weight; the weight-sound budget under either
-                // `SplitBound` is the better of the min-weight
-                // matching bound and the primal-dual LP dual.
-                (seed, parvc_prep::weighted_lower_bound(&graph))
+                }
+                crate::approx::SeedStrategy::Greedy => greedy,
+            };
+            // The unweighted LP certifies nothing about cover weight;
+            // on a weighted graph the weight-sound budget under either
+            // `SplitBound` is the better of the min-weight matching
+            // bound and the primal-dual LP dual.
+            let lower_bound = if weighted {
+                parvc_prep::weighted_lower_bound(&graph)
             } else {
-                let (size, cover) = if approx_seed {
-                    let a = crate::approx::matching_cover_exec(&graph, kernel.exec, counters);
-                    let (gs, gc) = greedy_mvc(&graph);
-                    if u64::from(gs) < a.cost {
-                        (gs, gc)
-                    } else {
-                        (a.cost as u32, a.cover)
-                    }
-                } else {
-                    greedy_mvc(&graph)
-                };
-                let lb = match params.bound {
+                match params.bound {
                     SplitBound::Lp => parvc_prep::lp_lower_bound_exec(&graph, kernel.exec),
                     SplitBound::Matching => matching::greedy_maximal_matching(&graph).len() as u64,
-                };
-                ((size as u64, cover), lb)
+                }
             };
             SubInstance {
                 graph,
@@ -427,23 +416,6 @@ pub fn detect_components(
         }
     }
     Some(comps)
-}
-
-/// The remaining cover budget below a node, in the bound's own units
-/// (`spent` is the node's [`SearchBound::node_cost`]): how much more
-/// cost a solution through this node may still add. `None` when the
-/// budget is already spent (MVC and weighted MVC must *beat* `best`;
-/// PVC must stay ≤ `k`).
-pub(crate) fn remaining_budget(bound: SearchBound, spent: u64) -> Option<i64> {
-    let r: i128 = match bound {
-        SearchBound::Mvc { best } => best as i128 - 1 - spent as i128,
-        SearchBound::WeightedMvc { best } => best as i128 - 1 - spent as i128,
-        SearchBound::Pvc { k } => k as i128 - spent as i128,
-    };
-    // `CsrGraph::with_weights` caps the total weight at i64::MAX, so
-    // real costs always fit; the clamp only tames the inert `u64::MAX`
-    // seed bound.
-    (r >= 0).then_some(r.min(i64::MAX as i128) as i64)
 }
 
 /// Solves every component of a split inline and combines the result —
@@ -490,7 +462,7 @@ fn solve_split_inner(
     counters: &mut BlockCounters,
     depth: u32,
 ) -> SplitVerdict {
-    let Some(mut remaining) = remaining_budget(bound, bound.node_cost(parent)) else {
+    let Some(mut remaining) = bound.budget(parent.cover_weight()) else {
         return SplitVerdict::Pruned;
     };
     let mut lb_rest: i64 = comps.iter().map(|c| c.lower_bound as i64).sum();
@@ -509,7 +481,6 @@ fn solve_split_inner(
             &sub_kernel,
             c.greedy.clone(),
             limit as u64,
-            bound.is_weighted(),
             abort,
             scratch,
             pool,
@@ -529,10 +500,9 @@ fn solve_split_inner(
 
 /// Exhaustive bounded MVC sub-search on a standalone (component) graph:
 /// the engine's reduce/prune/branch step driven by a plain DFS stack,
-/// with nested component splitting. `weighted` selects the bound's
-/// units — cover weight over the component graph's weight channel, or
-/// cover cardinality — and `seed`/`limit`/the returned optimum are all
-/// in those units.
+/// with nested component splitting. `seed`, `limit` and the returned
+/// optimum are cover weights over the component graph's weight channel
+/// (cover cardinality when it has none).
 ///
 /// Returns the component optimum and a witness when it is ≤ `limit`,
 /// `None` when the optimum provably exceeds `limit` (the caller prunes
@@ -544,7 +514,6 @@ pub(crate) fn solve_bounded(
     kernel: &Kernel<'_>,
     seed: (u64, Vec<VertexId>),
     limit: u64,
-    weighted: bool,
     abort: &mut dyn FnMut() -> bool,
     scratch: &mut BlockScratch,
     pool: &mut ConnPool,
@@ -555,15 +524,6 @@ pub(crate) fn solve_bounded(
         (seed.0, Some(seed.1))
     } else {
         (limit.saturating_add(1), None)
-    };
-    let make_bound = |best: u64| {
-        if weighted {
-            SearchBound::WeightedMvc { best }
-        } else {
-            SearchBound::Mvc {
-                best: best.min(u32::MAX as u64) as u32,
-            }
-        }
     };
     // This sub-search runs on its own (component) graph, so it needs
     // its own tracker — acquired from the caller's reuse pool, so the
@@ -577,16 +537,14 @@ pub(crate) fn solve_bounded(
         }
         kernel.charge_node_copy(node.len(), Activity::PopFromStack, counters);
         counters.tree_nodes_visited += 1;
-        let bound = make_bound(best);
+        let bound = SearchBound::WeightedMvc { best };
         kernel.reduce(&mut node, bound, scratch, counters);
         if kernel.prune(&node, bound, scratch) {
             continue;
         }
         if depth > 0 {
             if let Some(params) = kernel.ext.component_branching {
-                if let Some(comps) =
-                    detect_components(kernel, &node, params, &mut conn, counters, weighted)
-                {
+                if let Some(comps) = detect_components(kernel, &node, params, &mut conn, counters) {
                     if let SplitVerdict::Solved(combined) = solve_split(
                         kernel,
                         &node,
@@ -598,8 +556,8 @@ pub(crate) fn solve_bounded(
                         counters,
                         depth - 1,
                     ) {
-                        if bound.node_cost(&combined) < best {
-                            best = bound.node_cost(&combined);
+                        if combined.cover_weight() < best {
+                            best = combined.cover_weight();
                             witness = Some(combined.cover_vertices());
                         }
                     }
@@ -609,15 +567,15 @@ pub(crate) fn solve_bounded(
         }
         let vmax = match kernel.find_max_degree(&node, counters) {
             None => {
-                if bound.node_cost(&node) < best {
-                    best = bound.node_cost(&node);
+                if node.cover_weight() < best {
+                    best = node.cover_weight();
                     witness = Some(node.cover_vertices());
                 }
                 continue;
             }
             Some(v) if node.degree(v) == 0 => {
-                if bound.node_cost(&node) < best {
-                    best = bound.node_cost(&node);
+                if node.cover_weight() < best {
+                    best = node.cover_weight();
                     witness = Some(node.cover_vertices());
                 }
                 continue;
@@ -633,14 +591,7 @@ pub(crate) fn solve_bounded(
         stack.push(node);
     }
     pool.release(conn);
-    witness.map(|w| {
-        let cost = if weighted {
-            kernel.graph.cover_weight(&w)
-        } else {
-            w.len() as u64
-        };
-        (cost, w)
-    })
+    witness.map(|w| (kernel.graph.cover_weight(&w), w))
 }
 
 #[cfg(test)]
@@ -678,7 +629,6 @@ mod tests {
             SplitParams::with_min_live(4),
             &mut Connectivity::new(),
             &mut c,
-            false,
         )
         .expect("two components");
         assert_eq!(comps.len(), 2);
@@ -705,7 +655,6 @@ mod tests {
             SplitParams::with_min_live(4),
             &mut Connectivity::new(),
             &mut c,
-            false
         )
         .is_none());
         assert_eq!(c.splits.checks, 1, "connected graphs still pay the check");
@@ -716,7 +665,6 @@ mod tests {
                 SplitParams::with_min_live(9),
                 &mut Connectivity::new(),
                 &mut c,
-                false
             )
             .is_none(),
             "below the trigger the check must not run"
@@ -739,13 +687,12 @@ mod tests {
             SplitParams::with_min_live(4),
             &mut Connectivity::new(),
             &mut c,
-            false,
         )
         .unwrap();
         let verdict = solve_split(
             &k,
             &node,
-            SearchBound::Mvc { best: 7 },
+            SearchBound::WeightedMvc { best: 7 },
             &comps,
             &mut || false,
             &mut BlockScratch::new(),
@@ -775,7 +722,6 @@ mod tests {
             SplitParams::with_min_live(4),
             &mut Connectivity::new(),
             &mut c,
-            false,
         )
         .unwrap();
         // Optimum is 4 (2 per triangle); best = 4 demands ≤ 3 total.
@@ -783,7 +729,7 @@ mod tests {
             solve_split(
                 &k,
                 &node,
-                SearchBound::Mvc { best: 4 },
+                SearchBound::WeightedMvc { best: 4 },
                 &comps,
                 &mut || false,
                 &mut BlockScratch::new(),
@@ -793,12 +739,6 @@ mod tests {
             ),
             SplitVerdict::Pruned
         ));
-    }
-
-    /// The cardinality greedy seed in `solve_bounded`'s `(u64, _)` form.
-    fn greedy_seed(g: &CsrGraph) -> (u64, Vec<VertexId>) {
-        let (size, cover) = greedy_mvc(g);
-        (size as u64, cover)
     }
 
     #[test]
@@ -811,9 +751,8 @@ mod tests {
             let mut c = BlockCounters::new(0);
             let (size, cover) = solve_bounded(
                 &k,
-                greedy_seed(&g),
+                crate::greedy::greedy_weighted_mvc(&g),
                 g.num_vertices() as u64,
-                false,
                 &mut || false,
                 &mut BlockScratch::new(),
                 &mut ConnPool::new(),
@@ -827,9 +766,8 @@ mod tests {
             if opt > 0 {
                 assert!(solve_bounded(
                     &k,
-                    greedy_seed(&g),
+                    crate::greedy::greedy_weighted_mvc(&g),
                     opt as u64 - 1,
-                    false,
                     &mut || false,
                     &mut BlockScratch::new(),
                     &mut ConnPool::new(),
@@ -853,7 +791,6 @@ mod tests {
                 &k,
                 crate::greedy::greedy_weighted_mvc(&g),
                 u64::MAX - 1,
-                true,
                 &mut || false,
                 &mut BlockScratch::new(),
                 &mut ConnPool::new(),
@@ -870,7 +807,6 @@ mod tests {
                         &k,
                         crate::greedy::greedy_weighted_mvc(&g),
                         opt - 1,
-                        true,
                         &mut || false,
                         &mut BlockScratch::new(),
                         &mut ConnPool::new(),
@@ -908,7 +844,6 @@ mod tests {
             SplitParams::with_min_live(4),
             &mut Connectivity::new(),
             &mut c,
-            true,
         )
         .unwrap();
         assert_eq!(comps.len(), 2);
@@ -982,7 +917,6 @@ mod tests {
             SplitParams::with_min_live(4),
             &mut Connectivity::new(),
             &mut c,
-            true,
         )
         .expect("two path components");
         assert_eq!(comps.len(), 2);
@@ -1011,29 +945,6 @@ mod tests {
         assert_eq!(
             c.tree_nodes_visited, 0,
             "the dual bound must prune before any sub-search node"
-        );
-    }
-
-    #[test]
-    fn remaining_budgets() {
-        assert_eq!(remaining_budget(SearchBound::Mvc { best: 10 }, 4), Some(5));
-        assert_eq!(remaining_budget(SearchBound::Mvc { best: 5 }, 4), Some(0));
-        assert_eq!(remaining_budget(SearchBound::Mvc { best: 4 }, 4), None);
-        assert_eq!(remaining_budget(SearchBound::Pvc { k: 10 }, 4), Some(6));
-        assert_eq!(remaining_budget(SearchBound::Pvc { k: 4 }, 4), Some(0));
-        assert_eq!(remaining_budget(SearchBound::Pvc { k: 3 }, 4), None);
-        assert_eq!(
-            remaining_budget(SearchBound::WeightedMvc { best: 10 }, 4),
-            Some(5)
-        );
-        assert_eq!(
-            remaining_budget(SearchBound::WeightedMvc { best: 4 }, 4),
-            None
-        );
-        assert_eq!(
-            remaining_budget(SearchBound::WeightedMvc { best: u64::MAX }, 0),
-            Some(i64::MAX),
-            "the inert seed bound clamps instead of overflowing"
         );
     }
 }

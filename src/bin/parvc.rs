@@ -1495,7 +1495,8 @@ fn cmd_analyze(args: &[String]) {
         eprintln!("analyze: missing instance (file or generator spec)");
         std::process::exit(2);
     };
-    let g = load_instance(path, flags.options.get("format").map(String::as_str));
+    // Every figure below is a cardinality figure.
+    let g = load_instance(path, flags.options.get("format").map(String::as_str)).without_weights();
     let stats = analysis::degree_stats(&g);
     let (_, components) = ops::connected_components(&g);
     println!("vertices:        {}", g.num_vertices());
@@ -1523,7 +1524,7 @@ fn cmd_analyze(args: &[String]) {
         }
         None => {
             let lb = matching::greedy_maximal_matching(&g).len();
-            let (ub, _) = parvc::core::greedy::greedy_mvc(&g);
+            let (ub, _) = parvc::core::greedy::greedy_weighted_mvc(&g);
             println!("bipartite:       no — MVC within [{lb}, {ub}] (matching LB, greedy UB)");
         }
     }

@@ -213,6 +213,12 @@ fn agreement_on_every_named_family() {
 /// leaves: cardinality takes both hubs (size 2, weight 40); weight
 /// keeps one hub for the bridge and swaps the other for its four
 /// leaves (size 5, weight 24).
+///
+/// The cardinality side runs with prep off and on, and PVC — always a
+/// cardinality question — is decided at `k = 2` (the two hubs) and
+/// `k = 1` (refuted) on the weighted graph, with and without
+/// `.weighted()`: these are the solves where the façade drops the
+/// graph's weight channel before searching.
 #[test]
 fn weighted_optimum_differs_from_unweighted_on_the_regression_instance() {
     let mut edges: Vec<(u32, u32)> = (1..5).map(|v| (0, v)).collect(); // hub 0
@@ -241,20 +247,37 @@ fn weighted_optimum_differs_from_unweighted_on_the_regression_instance() {
         assert_eq!(cardinality.weight, 40, "{name}: two weight-20 hubs");
 
         for prep in [false, true] {
-            let mut b = Solver::builder()
-                .algorithm(algorithm)
-                .grid_limit(Some(6))
-                .weighted();
-            if prep {
-                b = b.preprocess(PrepConfig::default());
-            }
-            let weighted = b.build().solve_mvc(&g);
+            let builder = || {
+                let b = Solver::builder().algorithm(algorithm).grid_limit(Some(6));
+                if prep {
+                    b.preprocess(PrepConfig::default())
+                } else {
+                    b
+                }
+            };
+            let weighted = builder().weighted().build().solve_mvc(&g);
             assert_eq!(weighted.weight, w_opt, "{name} (weighted, prep={prep})");
             assert!(
                 weighted.size > cardinality.size,
                 "{name}: the weighted witness must be the bigger cover"
             );
             assert!(is_vertex_cover(&g, &weighted.cover), "{name}");
+
+            let card = builder().build().solve_mvc(&g);
+            assert_eq!(card.size, c_opt, "{name} (cardinality, prep={prep})");
+            assert_eq!(card.weight, 40, "{name} (prep={prep}): two weight-20 hubs");
+            assert!(is_vertex_cover(&g, &card.cover), "{name}");
+
+            for pvc in [builder().build(), builder().weighted().build()] {
+                let yes = pvc.solve_pvc(&g, 2);
+                let cover = yes.cover.expect("the two hubs form a 2-cover");
+                assert!(cover.len() <= 2, "{name} (PVC k=2, prep={prep})");
+                assert!(is_vertex_cover(&g, &cover), "{name} (PVC k=2)");
+                assert!(
+                    !pvc.solve_pvc(&g, 1).found(),
+                    "{name} (PVC k=1, prep={prep}): no single vertex covers both stars"
+                );
+            }
         }
     }
 }

@@ -38,7 +38,7 @@ proptest! {
         let kernel = Kernel { block_size: 32, variant: KernelVariant::SharedMem, ..Kernel::sequential(&g, &cost) };
         let mut node = TreeNode::root(&g);
         let mut counters = BlockCounters::new(0);
-        kernel.reduce(&mut node, SearchBound::Mvc { best: u32::MAX }, &mut BlockScratch::new(), &mut counters);
+        kernel.reduce(&mut node, SearchBound::WeightedMvc { best: u64::MAX }, &mut BlockScratch::new(), &mut counters);
         node.check_consistency(&g).expect("degree array corrupted");
 
         let (opt, _) = brute_force_mvc(&g);
@@ -54,7 +54,7 @@ proptest! {
         let kernel = Kernel { block_size: 32, variant: KernelVariant::SharedMem, ..Kernel::sequential(&g, &cost) };
         let mut node = TreeNode::root(&g);
         let mut counters = BlockCounters::new(0);
-        kernel.reduce(&mut node, SearchBound::Mvc { best: u32::MAX }, &mut BlockScratch::new(), &mut counters);
+        kernel.reduce(&mut node, SearchBound::WeightedMvc { best: u64::MAX }, &mut BlockScratch::new(), &mut counters);
 
         for v in g.vertices() {
             prop_assert_ne!(node.degree(v), 1, "degree-one vertex {} survived", v);
@@ -92,16 +92,16 @@ proptest! {
     fn pvc_and_mvc_budget_equivalence(g in arb_graph(12), k in 0u32..6) {
         let node = TreeNode::root(&g);
         let pvc = SearchBound::Pvc { k };
-        let mvc = SearchBound::Mvc { best: k + 1 };
+        let mvc = SearchBound::WeightedMvc { best: u64::from(k) + 1 };
         prop_assert_eq!(pvc.prune(&node), mvc.prune(&node));
     }
 
     /// Greedy upper-bounds the optimum and returns a genuine cover.
     #[test]
     fn greedy_bounds_hold(g in arb_graph(13)) {
-        let (size, cover) = parvc::core::greedy::greedy_mvc(&g);
+        let (size, cover) = parvc::core::greedy::greedy_weighted_mvc(&g);
         let (opt, _) = brute_force_mvc(&g);
-        prop_assert!(size >= opt);
+        prop_assert!(size >= u64::from(opt));
         prop_assert!(parvc::core::is_vertex_cover(&g, &cover));
         prop_assert_eq!(size as usize, cover.len());
     }
@@ -131,7 +131,7 @@ fn high_degree_budget_shrinks_during_round() {
     let mut counters = BlockCounters::new(0);
     kernel.reduce(
         &mut node,
-        SearchBound::Mvc { best: 4 },
+        SearchBound::WeightedMvc { best: 4 },
         &mut BlockScratch::new(),
         &mut counters,
     );
@@ -159,7 +159,7 @@ fn reduce_on_disconnected_components_is_independent() {
     let mut counters = BlockCounters::new(0);
     kernel.reduce(
         &mut node,
-        SearchBound::Mvc { best: u32::MAX },
+        SearchBound::WeightedMvc { best: u64::MAX },
         &mut BlockScratch::new(),
         &mut counters,
     );

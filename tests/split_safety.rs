@@ -7,7 +7,7 @@
 
 use parvc::core::bound::SearchBound;
 use parvc::core::brute::{brute_force_mvc, weighted_brute_force};
-use parvc::core::greedy::greedy_mvc;
+use parvc::core::greedy::greedy_weighted_mvc;
 use parvc::core::ops::Kernel;
 use parvc::core::split::{SplitBackend, SplitBound, SplitParams};
 use parvc::core::{is_vertex_cover, Algorithm, Solver, TreeNode};
@@ -182,8 +182,8 @@ fn disconnection_at_depth_two_is_caught_by_in_search_split() {
         variant: KernelVariant::SharedMem,
         ..Kernel::sequential(&g, &cost)
     };
-    let best = greedy_mvc(&g).0;
-    let bound = SearchBound::Mvc { best };
+    let best = greedy_weighted_mvc(&g).0;
+    let bound = SearchBound::WeightedMvc { best };
     let mut c = BlockCounters::new(0);
     let mut root = TreeNode::root(&g);
     kernel.reduce(
@@ -312,18 +312,10 @@ fn components_of(
     node: &parvc::core::TreeNode,
     backend: SplitBackend,
     conn: &mut parvc::core::Connectivity,
-    weighted: bool,
 ) -> Option<Vec<Vec<u32>>> {
     let mut c = BlockCounters::new(0);
-    parvc::core::split::detect_components(
-        kernel,
-        node,
-        backend_params(backend),
-        conn,
-        &mut c,
-        weighted,
-    )
-    .map(|comps| comps.into_iter().map(|s| s.old_ids).collect())
+    parvc::core::split::detect_components(kernel, node, backend_params(backend), conn, &mut c)
+        .map(|comps| comps.into_iter().map(|s| s.old_ids).collect())
 }
 
 proptest! {
@@ -354,11 +346,12 @@ proptest! {
             variant: KernelVariant::SharedMem,
             ..Kernel::sequential(&g, &cost)
         };
-        let bound = if weighted {
-            SearchBound::WeightedMvc { best: u64::MAX - 1 }
+        let best = if weighted {
+            u64::MAX - 1
         } else {
-            SearchBound::Mvc { best: g.num_vertices() }
+            u64::from(g.num_vertices())
         };
+        let bound = SearchBound::WeightedMvc { best };
         let mut c = BlockCounters::new(0);
         let mut conn = parvc::core::Connectivity::new();
         let mut node = TreeNode::root(&g);
@@ -367,9 +360,9 @@ proptest! {
             kernel.reduce(&mut node, bound, &mut parvc::core::BlockScratch::new(), &mut c);
             let bfs = components_of(
                 &kernel, &node, SplitBackend::Bfs,
-                &mut parvc::core::Connectivity::new(), weighted,
+                &mut parvc::core::Connectivity::new(),
             );
-            let uf = components_of(&kernel, &node, SplitBackend::UnionFind, &mut conn, weighted);
+            let uf = components_of(&kernel, &node, SplitBackend::UnionFind, &mut conn);
             prop_assert_eq!(
                 &bfs, &uf,
                 "{}: backends disagree at level {} (weighted={})", family, level, weighted

@@ -1,10 +1,13 @@
-//! Safety of the **weighted MVC** mode: the engine must reproduce the
+//! Safety of **weighted MVC**: the engine must reproduce the
 //! `weighted_brute_force` oracle under every scheduling policy, with
 //! preprocessing off and on, across the generator corpus with uniform
-//! random weights in `1..=10` — and a weighted run over all-1 weights
-//! must match the unweighted `SearchMode::Mvc` cover sizes exactly
-//! (unit-weight equivalence), so a silent unit mix-up in either
-//! direction cannot pass.
+//! random weights in `1..=10` — and a weighted run over an all-1
+//! weight channel must match the cardinality solve's cover sizes
+//! exactly (unit-weight equivalence). The engine has one search whose
+//! objective is the searched graph's weight channel; a cardinality
+//! solve searches the graph with that channel dropped. An all-1
+//! channel must therefore change nothing, so a silent unit mix-up in
+//! either direction cannot pass.
 
 use parvc::core::brute::{brute_force_mvc, weighted_brute_force};
 use parvc::core::{is_vertex_cover, Algorithm, PrepConfig, Solver};
@@ -79,11 +82,11 @@ proptest! {
         }
     }
 
-    /// Unit-weight equivalence: a weighted run over all-1 weights must
-    /// report the same cover size as the unweighted `SearchMode::Mvc`
-    /// traversal on the same instance, for every policy — the two
-    /// modes' arithmetic is identical at weight 1, so any divergence
-    /// is a unit bug.
+    /// Unit-weight equivalence: a weighted run over an all-1 weight
+    /// channel must report the same cover size as the cardinality
+    /// solve (the same search over the graph without a weight
+    /// channel), for every policy — the arithmetic is identical at
+    /// weight 1, so any divergence is a unit bug.
     #[test]
     fn unit_weights_bit_match_the_unweighted_mode((family, g) in arb_weighted_corpus_graph()) {
         let plain = g.clone().without_weights();
