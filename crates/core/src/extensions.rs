@@ -19,9 +19,14 @@
 //!   that already meets the bound. Strictly stronger than the paper's
 //!   edge-count test on sparse residuals.
 //!
-//! Neither extension is charged to the Figure 6 activity accounting —
-//! they are deliberately outside the paper's instrumentation so the
-//! reproduced breakdown stays comparable.
+//! Accounting: the domination rule's scans and neighborhood marks are
+//! not charged, but each vertex it covers is removed through
+//! [`Kernel::remove_vertex`] and charged to
+//! [`Activity::HighDegreeRule`](parvc_simgpu::counters::Activity::HighDegreeRule),
+//! the nearest of the paper's reduction activities. The matching lower
+//! bound charges nothing. Both extensions are off in the paper-faithful
+//! configuration, so the reproduced Figure 6 breakdown is unaffected
+//! unless they are switched on.
 
 use parvc_simgpu::counters::BlockCounters;
 
@@ -132,7 +137,7 @@ impl<'a> Kernel<'a> {
     /// An application additionally requires `w(u) ≤ w(v)` for the
     /// dominated neighbor `v` — the swap that justifies the rule must
     /// not increase the cover weight (always true without weights).
-    pub(crate) fn domination_round(
+    pub fn domination_round(
         &self,
         node: &mut TreeNode,
         scratch: &mut BlockScratch,

@@ -58,6 +58,13 @@ impl TreeNode {
         self.degrees[v as usize]
     }
 
+    /// The whole degree array: each live vertex's degree, or
+    /// [`REMOVED`] — the input of the flat classify passes.
+    #[inline]
+    pub fn degrees(&self) -> &[i32] {
+        &self.degrees
+    }
+
     /// Whether `v` has been removed into the cover.
     #[inline]
     pub fn is_removed(&self, v: VertexId) -> bool {
@@ -100,6 +107,19 @@ impl TreeNode {
     /// This is the *mechanism* shared by branching and every reduction
     /// rule; callers charge its cost to the appropriate activity.
     pub fn remove_into_cover(&mut self, g: &CsrGraph, v: VertexId) -> u32 {
+        self.remove_into_cover_with(g, v, |_, _| {})
+    }
+
+    /// [`remove_into_cover`](Self::remove_into_cover), reporting each
+    /// live neighbor with its lowered degree to `on_decrement` — the
+    /// feed of the reduce fixpoint's degree pools.
+    #[inline]
+    pub(crate) fn remove_into_cover_with(
+        &mut self,
+        g: &CsrGraph,
+        v: VertexId,
+        mut on_decrement: impl FnMut(VertexId, i32),
+    ) -> u32 {
         let d = self.degrees[v as usize];
         debug_assert!(d >= 0, "removing already-removed vertex {v}");
         self.degrees[v as usize] = REMOVED;
@@ -111,6 +131,7 @@ impl TreeNode {
                 let du = &mut self.degrees[u as usize];
                 if *du >= 0 {
                     *du -= 1;
+                    on_decrement(u, *du);
                 }
             }
         }
@@ -125,7 +146,7 @@ impl TreeNode {
             .find(|&u| !self.is_removed(u))
     }
 
-    /// The (up to `cap`) live neighbors of `v`.
+    /// The live neighbors of `v`, in adjacency order.
     pub fn live_neighbors<'a>(
         &'a self,
         g: &'a CsrGraph,

@@ -97,7 +97,23 @@ impl<'a> Kernel<'a> {
         activity: Activity,
         counters: &mut BlockCounters,
     ) {
-        let d = node.remove_into_cover(self.graph, v);
+        self.remove_vertex_with(node, v, activity, counters, |_, _| {});
+    }
+
+    /// [`remove_vertex`](Self::remove_vertex), reporting each live
+    /// neighbor with its lowered degree to `on_decrement` (see
+    /// [`TreeNode::remove_into_cover_with`](crate::TreeNode::remove_into_cover_with)).
+    /// Charged exactly like `remove_vertex`.
+    #[inline]
+    pub(crate) fn remove_vertex_with(
+        &self,
+        node: &mut crate::TreeNode,
+        v: VertexId,
+        activity: Activity,
+        counters: &mut BlockCounters,
+        on_decrement: impl FnMut(VertexId, i32),
+    ) {
+        let d = node.remove_into_cover_with(self.graph, v, on_decrement);
         counters.charge(
             activity,
             self.cost

@@ -10,9 +10,20 @@
 //! vertices, then applies them in ascending id with a liveness/degree
 //! recheck. A vertex invalidated by an earlier (smaller-id) application
 //! is skipped, which is precisely the paper's tie-break.
+//!
+//! The snapshots are delta-driven. Each `reduce` call seeds degree-1
+//! and degree-2 pools ([`parvc_prep::DegreePools`]) and an upper bound
+//! on the live degrees in one flat pass; from then on every removal a
+//! rule makes pools each neighbor whose degree fell to 1 or 2. A round
+//! snapshot is its pool filtered to the exact degree, sorted and
+//! deduplicated: the same ascending-id set a full degree-array scan
+//! gathers, at the cost of the vertices that changed. Model-cycle
+//! charges stay the paper's: every round pays the full-array
+//! `parallel_op(|V|)` scan whether or not it rescans.
 
+use parvc_prep::DegreePools;
 use parvc_simgpu::counters::{Activity, BlockCounters};
-use parvc_simgpu::exec::gather_indices;
+use parvc_simgpu::exec::gather_in_range;
 
 use crate::bound::SearchBound;
 use crate::ops::Kernel;
@@ -35,14 +46,17 @@ pub struct ReduceStats {
 impl<'a> Kernel<'a> {
     /// Applies all three rules until the graph stops changing
     /// (Figure 1's `reduce`, lines 14–30). Mutates `node` in place.
-    /// Each round is phase-split: a flat **classify** pass over the
-    /// degree array gathers the eligible vertices into
-    /// `scratch.candidates` (executed through the kernel's
-    /// [`ParallelExecutor`](parvc_simgpu::exec::ParallelExecutor) —
-    /// this is the reduce-fixpoint degree scan, the hottest flat pass
-    /// in the engine), then a serial **apply** pass walks the buffer
-    /// in ascending id with the liveness recheck. `scratch` holds the
-    /// per-block delta buffers, reused across rounds and tree nodes.
+    ///
+    /// Phase-split: one flat **classify** pass over the degree array
+    /// seeds the degree pools in `scratch.pools` and bounds the largest
+    /// live degree (executed through the kernel's
+    /// [`ParallelExecutor`](parvc_simgpu::exec::ParallelExecutor));
+    /// each round then takes its snapshot from its pool, and a serial
+    /// **apply** pass walks it in ascending id with the liveness
+    /// recheck, pooling every neighbor a removal brings down to degree
+    /// 1 or 2. The high-degree round scans the degree array only while
+    /// the degree bound exceeds its threshold. `scratch` holds the
+    /// per-block buffers, reused across rounds and tree nodes.
     pub fn reduce(
         &self,
         node: &mut TreeNode,
@@ -51,6 +65,7 @@ impl<'a> Kernel<'a> {
         counters: &mut BlockCounters,
     ) -> ReduceStats {
         let mut stats = ReduceStats::default();
+        let mut max_degree = self.seed_pools(node, scratch);
         loop {
             stats.rounds += 1;
             let mut changed = false;
@@ -63,18 +78,45 @@ impl<'a> Kernel<'a> {
             while self.degree_two_triangle_round(node, scratch, counters, &mut stats) {
                 changed = true;
             }
-            while self.high_degree_round(node, bound, scratch, counters, &mut stats) {
+            while self.high_degree_round(
+                node,
+                bound,
+                &mut max_degree,
+                scratch,
+                counters,
+                &mut stats,
+            ) {
                 changed = true;
             }
             if self.ext.domination_rule {
+                let mut dominated = false;
                 while self.domination_round(node, scratch, counters) {
+                    dominated = true;
+                }
+                // Domination removes vertices without feeding the
+                // pools: start them over from the degree array.
+                if dominated {
                     changed = true;
+                    max_degree = self.seed_pools(node, scratch);
                 }
             }
             if !changed {
                 return stats;
             }
         }
+    }
+
+    /// The classify pass: seeds `scratch.pools` with every vertex of
+    /// degree 1 or 2 and returns the largest live degree, which bounds
+    /// every degree until the next seeding (degrees only fall).
+    fn seed_pools(&self, node: &TreeNode, scratch: &mut BlockScratch) -> i32 {
+        scratch.pools.seed(
+            self.exec,
+            node.degrees(),
+            1,
+            &mut scratch.slots,
+            &mut scratch.candidates,
+        )
     }
 
     /// One parallel round of the degree-one rule: for a degree-one
@@ -94,23 +136,20 @@ impl<'a> Kernel<'a> {
         counters: &mut BlockCounters,
         stats: &mut ReduceStats,
     ) -> bool {
-        // Classify: all threads scan the degree array for d(v) == 1
-        // (one wave, chunked across the executor).
+        // Classify: the paper's threads scan the whole degree array
+        // for d(v) == 1 (one wave); the pool holds the same set.
         counters.charge(
             Activity::DegreeOneRule,
             self.cost
                 .parallel_op(node.len() as u64, self.block_size, self.variant),
         );
-        gather_indices(
-            self.exec,
-            node.len() as usize,
-            &|v| node.degree(v) == 1,
-            &mut scratch.slots,
-            &mut scratch.candidates,
-        );
+        let BlockScratch {
+            candidates, pools, ..
+        } = scratch;
+        pools.take_snapshot(1, candidates, |v| node.degree(v) == 1);
         let mut changed = false;
         // Apply: ascending id with recheck (the §IV-D tie-break).
-        for &v in &scratch.candidates {
+        for &v in candidates.iter() {
             // Recheck: an earlier (smaller-id) application may have
             // removed v's neighbor or v itself — the §IV-D tie-break.
             if node.degree(v) != 1 {
@@ -120,12 +159,16 @@ impl<'a> Kernel<'a> {
                 .live_neighbor(self.graph, v)
                 .expect("degree-one vertex has a live neighbor");
             if self.graph.weight(u) > self.graph.weight(v) {
+                // Stays a candidate (re-pooled below).
                 continue;
             }
-            self.remove_vertex(node, u, Activity::DegreeOneRule, counters);
+            self.remove_vertex_with(node, u, Activity::DegreeOneRule, counters, |w, d| {
+                pools.note(w, d)
+            });
             stats.degree_one += 1;
             changed = true;
         }
+        repool_survivors(node, 1, candidates, pools);
         changed
     }
 
@@ -150,15 +193,12 @@ impl<'a> Kernel<'a> {
             self.cost
                 .parallel_op(node.len() as u64, self.block_size, self.variant),
         );
-        gather_indices(
-            self.exec,
-            node.len() as usize,
-            &|v| node.degree(v) == 2,
-            &mut scratch.slots,
-            &mut scratch.candidates,
-        );
+        let BlockScratch {
+            candidates, pools, ..
+        } = scratch;
+        pools.take_snapshot(2, candidates, |v| node.degree(v) == 2);
         let mut changed = false;
-        for &v in &scratch.candidates {
+        for &v in candidates.iter() {
             if node.degree(v) != 2 {
                 continue;
             }
@@ -180,12 +220,28 @@ impl<'a> Kernel<'a> {
                 continue;
             }
             if self.graph.has_edge(u, w) {
-                self.remove_vertex(node, u, Activity::DegreeTwoTriangleRule, counters);
-                self.remove_vertex(node, w, Activity::DegreeTwoTriangleRule, counters);
+                let mut note = |x, d| pools.note(x, d);
+                self.remove_vertex_with(
+                    node,
+                    u,
+                    Activity::DegreeTwoTriangleRule,
+                    counters,
+                    &mut note,
+                );
+                self.remove_vertex_with(
+                    node,
+                    w,
+                    Activity::DegreeTwoTriangleRule,
+                    counters,
+                    &mut note,
+                );
                 stats.degree_two_triangle += 2;
                 changed = true;
             }
         }
+        // Non-triangle and gated vertices stay candidates: the next
+        // round's snapshot (and its per-candidate charge) includes them.
+        repool_survivors(node, 2, candidates, pools);
         changed
     }
 
@@ -200,10 +256,16 @@ impl<'a> Kernel<'a> {
     /// stopping condition prunes such nodes right after `reduce`
     /// (Figure 1 line 5), and a negative threshold would degenerate the
     /// rule into "remove everything".
+    ///
+    /// `max_degree` bounds every live degree: while it is at most the
+    /// threshold the round finds nothing and skips the scan. A scan
+    /// also returns the largest degree it did not gather, so after it
+    /// the bound drops to the largest degree left.
     fn high_degree_round(
         &self,
         node: &mut TreeNode,
         bound: SearchBound,
+        max_degree: &mut i32,
         scratch: &mut BlockScratch,
         counters: &mut BlockCounters,
         stats: &mut ReduceStats,
@@ -216,15 +278,26 @@ impl<'a> Kernel<'a> {
         let Some(threshold) = bound.budget(node.cover_weight()) else {
             return false;
         };
-        gather_indices(
+        if *max_degree as i64 <= threshold {
+            return false;
+        }
+        let BlockScratch {
+            candidates,
+            slots,
+            pools,
+            ..
+        } = scratch;
+        // 0 ≤ threshold < max_degree ≤ i32::MAX, so the bound fits.
+        let rest_max = gather_in_range(
             self.exec,
-            node.len() as usize,
-            &|v| node.degree(v) as i64 > threshold,
-            &mut scratch.slots,
-            &mut scratch.candidates,
+            node.degrees(),
+            threshold as i32 + 1,
+            i32::MAX,
+            slots,
+            candidates,
         );
         let mut changed = false;
-        for &v in &scratch.candidates {
+        for &v in candidates.iter() {
             // The budget shrinks as the rule fires; recompute like the
             // serial `while ∃v s.t. d(v) > best − |S| − 1` does.
             let Some(threshold) = bound.budget(node.cover_weight()) else {
@@ -233,11 +306,28 @@ impl<'a> Kernel<'a> {
             if node.degree(v) < 0 || (node.degree(v) as i64) <= threshold {
                 continue;
             }
-            self.remove_vertex(node, v, Activity::HighDegreeRule, counters);
+            self.remove_vertex_with(node, v, Activity::HighDegreeRule, counters, |w, d| {
+                pools.note(w, d)
+            });
             stats.high_degree += 1;
             changed = true;
         }
+        // The vertices outside the snapshot topped out at `rest_max`
+        // when scanned; the entries now hold their current degrees.
+        *max_degree = candidates
+            .iter()
+            .fold(rest_max, |max, &v| max.max(node.degree(v)));
         changed
+    }
+}
+
+/// Notes the round's candidates still at `degree` back into its pool:
+/// they were eligible this round and stay eligible for the next.
+fn repool_survivors(node: &TreeNode, degree: i32, candidates: &[u32], pools: &mut DegreePools) {
+    for &v in candidates {
+        if node.degree(v) == degree {
+            pools.note(v, degree);
+        }
     }
 }
 

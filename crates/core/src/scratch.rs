@@ -3,7 +3,9 @@
 //!
 //! Node processing is organized as flat passes over the immutable CSR
 //! adjacency (see `ARCHITECTURE.md` § "The phase contract"): a
-//! *classify* pass gathers candidate vertices into a delta buffer, an
+//! *classify* pass gathers candidate vertices into a delta buffer (or
+//! seeds the reduce fixpoint's degree pools, which removals then keep
+//! current), an
 //! *apply* pass walks that buffer serially in ascending id (the §IV-D
 //! tie-break), a *bound* pass scans the residual. None of those passes
 //! owns hidden mutable state — everything they write between phases
@@ -11,6 +13,7 @@
 //! tree nodes, and nested sub-searches, so the hot loop stays
 //! allocation-free after warm-up.
 
+use parvc_prep::DegreePools;
 use parvc_simgpu::exec::ChunkSlots;
 
 /// The reusable per-block buffers of the phase-split passes.
@@ -25,6 +28,9 @@ pub struct BlockScratch {
     pub candidates: Vec<u32>,
     /// Per-chunk gather slots for pooled classify passes.
     pub slots: ChunkSlots,
+    /// The reduce fixpoint's degree-1/degree-2 candidate pools, seeded
+    /// once per `reduce` call and fed by degree decrements.
+    pub pools: DegreePools,
     /// Bound-phase endpoint flags for the residual matching bound.
     pub matched: Vec<bool>,
     /// Domination-rule neighborhood marks.

@@ -49,11 +49,13 @@
 
 mod kernel;
 pub mod par;
+pub mod pools;
 mod rules;
 mod state;
 
 pub use kernel::{Kernel, LiftTrace, ReducedInstance};
 pub use par::lp_lower_bound_exec;
+pub use pools::DegreePools;
 pub use rules::{CrownRule, HighDegreeRule, LowDegreeRule, ReduceRule, RuleStats};
 pub use state::{PrepState, VertexState};
 

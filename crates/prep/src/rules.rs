@@ -9,10 +9,9 @@
 //! a liveness/degree recheck, so a vertex invalidated by an earlier
 //! (smaller-id) application is skipped.
 
-use std::collections::BTreeSet;
-
 use parvc_graph::{matching, GraphBuilder, VertexId};
 
+use crate::pools::DegreePools;
 use crate::state::PrepState;
 
 /// Per-rule firing statistics, reported in
@@ -88,27 +87,35 @@ impl ReduceRule for LowDegreeRule {
     }
 
     fn apply(&mut self, st: &mut PrepState<'_>, stats: &mut RuleStats) -> bool {
-        // One full scan seeds the per-degree pools; afterwards a vertex
-        // can only (re-)enter a rule's range through a degree
-        // decrement, and every decrement re-pools it at its new degree.
-        // Each round *drains* its pool into the ascending-id snapshot:
-        // entries that fail the liveness/degree recheck are stale
-        // forever at that degree (degrees only fall), and a degree-2
-        // vertex that fails the triangle test keeps the same two
-        // neighbors for as long as its degree stays 2, so dropping it
-        // is equivalent to the full rescan — while peeling a
-        // 100k-vertex chain stays linear instead of quadratic.
-        let mut pools = Pools::seed(st);
+        // One full scan seeds the degree pools; afterwards a vertex can
+        // only (re-)enter a rule's range through a degree decrement,
+        // and every decrement re-pools it at its new degree (see
+        // `crate::pools`). Each round *drains* its pool into the
+        // ascending-id snapshot and never re-pools what it skipped:
+        // an entry that fails the liveness/degree recheck is stale
+        // forever at that degree (degrees only fall), and a degree-1 or
+        // degree-2 vertex that fails its weight gate or triangle test
+        // keeps the same neighbors for as long as its degree stays, so
+        // it would fail again. That is equivalent to the full rescan,
+        // while peeling a 100k-vertex chain stays linear instead of
+        // quadratic.
+        let mut pools = DegreePools::new();
+        for v in 0..st.graph().num_vertices() {
+            if st.is_live(v) {
+                pools.note(v, st.degree(v));
+            }
+        }
+        let mut snapshot = Vec::new();
         let mut changed_any = false;
         loop {
             let mut changed = false;
-            while degree_zero_round(st, &mut pools, stats) {
+            while degree_zero_round(st, &mut pools, &mut snapshot, stats) {
                 changed = true;
             }
-            while degree_one_round(st, &mut pools, stats, self.weighted) {
+            while degree_one_round(st, &mut pools, &mut snapshot, stats, self.weighted) {
                 changed = true;
             }
-            while degree_two_triangle_round(st, &mut pools, stats, self.weighted) {
+            while degree_two_triangle_round(st, &mut pools, &mut snapshot, stats, self.weighted) {
                 changed = true;
             }
             if !changed {
@@ -119,62 +126,44 @@ impl ReduceRule for LowDegreeRule {
     }
 }
 
-/// Candidate vertices per rule degree. `BTreeSet` keeps each round's
-/// drained snapshot in ascending id order — the §IV-D tie-break.
-struct Pools {
-    by_degree: [BTreeSet<VertexId>; 3],
+/// Forces `u` into the cover, pooling its neighbors at their lowered
+/// degrees.
+fn cover(st: &mut PrepState<'_>, pools: &mut DegreePools, u: VertexId) {
+    st.take_into_cover_with(u, |w, d| pools.note(w, d));
 }
 
-impl Pools {
-    fn seed(st: &PrepState<'_>) -> Self {
-        let mut by_degree: [BTreeSet<VertexId>; 3] = Default::default();
-        for v in st.live_ids() {
-            let d = st.degree(v);
-            if d <= 2 {
-                by_degree[d as usize].insert(v);
-            }
-        }
-        Pools { by_degree }
-    }
-
-    /// Forces `u` into the cover and re-pools its neighbors whose
-    /// degree dropped into rule range.
-    fn take_into_cover(&mut self, st: &mut PrepState<'_>, u: VertexId) {
-        let touched: Vec<VertexId> = st.live_neighbors(u).collect();
-        st.take_into_cover(u);
-        for w in touched {
-            let d = st.degree(w);
-            if d <= 2 {
-                self.by_degree[d as usize].insert(w);
-            }
-        }
-    }
-
-    fn drain(&mut self, degree: usize) -> BTreeSet<VertexId> {
-        std::mem::take(&mut self.by_degree[degree])
-    }
+/// Takes pool `degree` as the round's ascending-id snapshot of live
+/// vertices at that degree.
+fn snapshot(st: &PrepState<'_>, pools: &mut DegreePools, degree: i32, out: &mut Vec<VertexId>) {
+    pools.take_snapshot(degree, out, |v| st.is_live(v) && st.degree(v) == degree);
 }
 
-fn degree_zero_round(st: &mut PrepState<'_>, pools: &mut Pools, stats: &mut RuleStats) -> bool {
-    let mut changed = false;
-    for v in pools.drain(0) {
-        if st.is_live(v) && st.degree(v) == 0 {
-            st.exclude_isolated(v);
-            stats.excluded += 1;
-            changed = true;
-        }
+fn degree_zero_round(
+    st: &mut PrepState<'_>,
+    pools: &mut DegreePools,
+    candidates: &mut Vec<VertexId>,
+    stats: &mut RuleStats,
+) -> bool {
+    snapshot(st, pools, 0, candidates);
+    // Excluding an isolated vertex touches no other vertex, so every
+    // snapshot entry is still live and isolated when its turn comes.
+    for &v in candidates.iter() {
+        st.exclude_isolated(v);
+        stats.excluded += 1;
     }
-    changed
+    !candidates.is_empty()
 }
 
 fn degree_one_round(
     st: &mut PrepState<'_>,
-    pools: &mut Pools,
+    pools: &mut DegreePools,
+    candidates: &mut Vec<VertexId>,
     stats: &mut RuleStats,
     weighted: bool,
 ) -> bool {
+    snapshot(st, pools, 1, candidates);
     let mut changed = false;
-    for v in pools.drain(1) {
+    for &v in candidates.iter() {
         // Recheck: an earlier (smaller-id) application may have removed
         // v's neighbor or isolated v — the §IV-D tie-break.
         if !st.is_live(v) || st.degree(v) != 1 {
@@ -189,7 +178,7 @@ fn degree_one_round(
         if weighted && st.graph().weight(u) > st.graph().weight(v) {
             continue;
         }
-        pools.take_into_cover(st, u);
+        cover(st, pools, u);
         stats.covered += 1;
         changed = true;
     }
@@ -198,12 +187,14 @@ fn degree_one_round(
 
 fn degree_two_triangle_round(
     st: &mut PrepState<'_>,
-    pools: &mut Pools,
+    pools: &mut DegreePools,
+    candidates: &mut Vec<VertexId>,
     stats: &mut RuleStats,
     weighted: bool,
 ) -> bool {
+    snapshot(st, pools, 2, candidates);
     let mut changed = false;
-    for v in pools.drain(2) {
+    for &v in candidates.iter() {
         if !st.is_live(v) || st.degree(v) != 2 {
             continue;
         }
@@ -218,8 +209,8 @@ fn degree_two_triangle_round(
         }
         // Both are live, so the edge survives iff it existed originally.
         if st.graph().has_edge(u, w) {
-            pools.take_into_cover(st, u);
-            pools.take_into_cover(st, w);
+            cover(st, pools, u);
+            cover(st, pools, w);
             stats.covered += 2;
             changed = true;
         }
@@ -321,10 +312,13 @@ impl ReduceRule for HighDegreeRule {
             .filter(|&v| st.degree(v) as i64 > ub)
             .collect();
         let mut changed = false;
-        // Forcing earlier snapshot entries lowers both the residual
-        // optimum and the snapshot degrees by at most the number of
-        // applications, so the remaining entries stay safe without a
-        // degree recheck (see the safety note in the module docs).
+        // No degree recheck is needed. A vertex of degree > ub ≥ opt
+        // is in every optimal residual cover (a cover avoiding it holds
+        // all of its neighbors). Forcing such an entry lowers the
+        // residual optimum by exactly one and every other entry's
+        // degree by at most one, so after j applications each
+        // remaining entry still has degree > ub − j ≥ opt − j, the new
+        // optimum: it is still forced.
         for v in snapshot {
             if !st.is_live(v) {
                 continue;

@@ -104,6 +104,17 @@ impl<'g> PrepState<'g> {
 
     /// Forces live vertex `v` into the cover, deleting its edges.
     pub fn take_into_cover(&mut self, v: VertexId) {
+        self.take_into_cover_with(v, |_, _| {});
+    }
+
+    /// [`take_into_cover`](Self::take_into_cover), reporting each live
+    /// neighbor with its lowered degree to `on_decrement` — the feed of
+    /// the [`DegreePools`](crate::DegreePools).
+    pub(crate) fn take_into_cover_with(
+        &mut self,
+        v: VertexId,
+        mut on_decrement: impl FnMut(VertexId, i32),
+    ) {
         assert!(self.is_live(v), "covering non-live vertex {v}");
         let d = self.degree[v as usize];
         self.state[v as usize] = VertexState::InCover;
@@ -114,6 +125,7 @@ impl<'g> PrepState<'g> {
             for &u in self.graph.neighbors(v) {
                 if self.is_live(u) {
                     self.degree[u as usize] -= 1;
+                    on_decrement(u, self.degree[u as usize]);
                 }
             }
         }

@@ -30,6 +30,7 @@
 //! dispatch entirely — the pool only ever sees work big enough to
 //! amortize the handoff.
 
+use std::sync::atomic::{AtomicI32, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Threads per warp — the chunk-size granularity of pooled passes.
@@ -224,6 +225,57 @@ pub fn gather_indices(
     }
 }
 
+/// The flat range-classify pass over a value array: collects every
+/// index `i` with `lo <= values[i] <= hi` into `out`, in ascending
+/// order, and returns the maximum of the values it did *not* collect
+/// (`i32::MIN` when there are none) — both bit-identical to the
+/// serial pass under any executor (ascending per-chunk runs
+/// concatenate in chunk order; max is associative). The reduce
+/// fixpoint uses it to seed its degree pools and to gather its
+/// high-degree candidates, keeping an exact bound on the degrees it
+/// left behind.
+///
+/// `slots` is caller-owned scratch (per-block, reused across calls);
+/// `out` is cleared first.
+pub fn gather_in_range(
+    exec: &dyn ParallelExecutor,
+    values: &[i32],
+    lo: i32,
+    hi: i32,
+    slots: &mut ChunkSlots,
+    out: &mut Vec<u32>,
+) -> i32 {
+    fn scan(values: &[i32], base: u32, lo: i32, hi: i32, out: &mut Vec<u32>) -> i32 {
+        let mut rest_max = i32::MIN;
+        for (i, &d) in values.iter().enumerate() {
+            if d >= lo && d <= hi {
+                out.push(base + i as u32);
+            } else {
+                rest_max = rest_max.max(d);
+            }
+        }
+        rest_max
+    }
+    out.clear();
+    let n = values.len();
+    let chunks = exec.chunks_for(n);
+    if chunks <= 1 {
+        return scan(values, 0, lo, hi, out);
+    }
+    slots.ensure(chunks);
+    let slots_ref: &[Mutex<Vec<u32>>] = &slots.slots;
+    let rest_max = AtomicI32::new(i32::MIN);
+    exec.dispatch(n, &|c, start, end| {
+        let mut slot = slots_ref[c].lock().unwrap_or_else(PoisonError::into_inner);
+        let chunk_max = scan(&values[start..end], start as u32, lo, hi, &mut slot);
+        rest_max.fetch_max(chunk_max, Ordering::Relaxed);
+    });
+    for s in &mut slots.slots[..chunks] {
+        out.extend_from_slice(s.get_mut().unwrap_or_else(PoisonError::into_inner));
+    }
+    rest_max.into_inner()
+}
+
 /// Which [`ParallelExecutor`] a solve should use — the configuration
 /// surface behind `SolverBuilder::executor(...)` and the CLI's
 /// `--exec serial|pooled[:threads]`.
@@ -344,6 +396,34 @@ mod tests {
             // Scratch reuse must not leak previous results.
             gather_indices(exec, 100, &pred, &mut slots, &mut out);
             assert_eq!(out, (0..100).filter(|&v| pred(v)).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn gather_in_range_matches_serial_scan_on_any_executor() {
+        let values: Vec<i32> = (0..30_000u32)
+            .map(|v| (v.wrapping_mul(2_654_435_761) % 9) as i32 - 1)
+            .collect();
+        let expect: Vec<u32> = (0..values.len() as u32)
+            .filter(|&v| (1..=2).contains(&values[v as usize]))
+            .collect();
+        for exec in [
+            &SERIAL as &dyn ParallelExecutor,
+            &PooledExec::new(2),
+            &PooledExec::new(5),
+        ] {
+            let mut slots = ChunkSlots::new();
+            let mut out = Vec::new();
+            let rest = gather_in_range(exec, &values, 1, 2, &mut slots, &mut out);
+            assert_eq!((rest, &out), (7, &expect), "{exec:?}");
+            // Everything above 6 gathered: the rest tops out at 6.
+            let rest = gather_in_range(exec, &values, 7, i32::MAX, &mut slots, &mut out);
+            assert_eq!(rest, 6, "{exec:?}");
+            assert!(out.iter().all(|&v| values[v as usize] == 7));
+            let rest = gather_in_range(exec, &values[..5], -1, 8, &mut slots, &mut out);
+            assert_eq!((rest, out.len()), (i32::MIN, 5), "scratch reuse leaked");
+            let rest = gather_in_range(exec, &[], 1, 2, &mut slots, &mut out);
+            assert_eq!((rest, out.len()), (i32::MIN, 0));
         }
     }
 
